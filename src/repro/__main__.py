@@ -450,16 +450,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_serve(args) -> int:
     journal_sync = None if args.journal == "none" else args.journal
-    if args.role == "coordinator":
-        from repro.service.cluster.frontdoor import serve_coordinator
-        return serve_coordinator(host=args.host, port=args.port,
-                                 store_dir=args.store,
-                                 max_queue=args.queue_size,
-                                 journal_sync=journal_sync,
-                                 telemetry=not args.no_telemetry,
-                                 suspect_after_s=args.suspect_after,
-                                 dead_after_s=args.dead_after,
-                                 drain_timeout_s=args.drain_timeout)
     if args.role == "node":
         if not args.coordinator:
             print("error: --role node requires --coordinator URL",
@@ -469,13 +459,15 @@ def _cmd_serve(args) -> int:
         run_node(args.coordinator, args.store, node_id=args.node_id,
                  workers=args.workers or 1, job_timeout_s=args.timeout)
         return 0
-    from repro.service.server import serve
-    return serve(host=args.host, port=args.port, workers=args.workers,
-                 store_dir=args.store, max_queue=args.queue_size,
-                 timeout=args.timeout,
-                 drain_timeout_s=args.drain_timeout,
-                 journal_sync=journal_sync,
+    from repro.service.cluster.frontdoor import serve
+    return serve(host=args.host, port=args.port, store_dir=args.store,
+                 max_queue=args.queue_size, journal_sync=journal_sync,
                  telemetry=not args.no_telemetry,
+                 suspect_after_s=args.suspect_after,
+                 dead_after_s=args.dead_after,
+                 drain_timeout_s=args.drain_timeout,
+                 workers=0 if args.role == "coordinator" else args.workers,
+                 job_timeout_s=args.timeout,
                  stats_interval=args.stats_interval)
 
 
@@ -687,10 +679,12 @@ def main(argv=None) -> int:
         "serve", help="run the simulation service (HTTP JSON API)")
     serve_p.add_argument("--role", choices=["single", "coordinator", "node"],
                          default="single",
-                         help="'single' = self-contained service (default); "
-                              "'coordinator' = cluster front door + job "
-                              "registry (no local workers); 'node' = worker "
-                              "agent pulling leases from --coordinator")
+                         help="'single' = the service with an in-process "
+                              "node of --workers workers (default); "
+                              "'coordinator' = the same service with no "
+                              "local workers, served by --role node "
+                              "processes; 'node' = worker agent pulling "
+                              "leases from --coordinator")
     serve_p.add_argument("--coordinator", metavar="URL", default=None,
                          help="coordinator base URL (required for "
                               "--role node)")
@@ -709,7 +703,9 @@ def main(argv=None) -> int:
     serve_p.add_argument("--host", default="127.0.0.1")
     serve_p.add_argument("--port", type=int, default=8642)
     serve_p.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default: CPU count)")
+                         help="worker processes of the in-process node "
+                              "(default: CPU count) or of a --role node "
+                              "(default: 1)")
     serve_p.add_argument("--store", metavar="DIR", default=".repro-store",
                          help="result store directory")
     serve_p.add_argument("--queue-size", type=int, default=64,

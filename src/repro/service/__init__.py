@@ -14,8 +14,9 @@ serving stack:
   to serial execution when workers die.
 * :mod:`repro.service.runner` — a ``ResilientRunner`` that transparently
   routes simulations through the pool + store (used by the sweep driver).
-* :mod:`repro.service.server` — stdlib HTTP JSON API with a bounded
-  priority queue and explicit 429 backpressure.
+* :mod:`repro.service.cluster` — the HTTP JSON service: coordinator,
+  asyncio front door with a bounded priority queue and explicit 429
+  backpressure, and worker nodes (one in process, more over HTTP).
 * :mod:`repro.service.client` — ``urllib``-based client behind the
   ``python -m repro submit`` CLI verb.
 

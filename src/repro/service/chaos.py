@@ -1,28 +1,31 @@
 """Deterministic chaos harness for the crash-safe job fabric.
 
-Drives a real :class:`~repro.service.server.SimulationService` (journal
-+ pool + store on one directory) through seeded fault injection —
-worker SIGKILL, whole-fabric crash + restart, journal truncation and
-bit-flips, store-entry corruption, stalled heartbeats — and gives tests
-the levers to assert the fabric invariant:
+Drives the real service — :class:`~repro.service.cluster.coordinator.
+ClusterService` with its journal, store and front door on one directory,
+plus an in-process node (the ``repro serve`` shape) and/or node
+processes — through seeded fault injection: worker SIGKILL, node
+SIGKILL, whole-service crash + restart, journal truncation and
+bit-flips, store-entry corruption, stalled heartbeats.  Tests get the
+levers to assert the fabric invariant:
 
     every submitted job eventually reaches exactly one of
     done / failed / dead_letter, and every ``done`` result is
     counter-digest identical to a serial run.
 
-The harness works below the HTTP layer on purpose: the invariant lives
-in the service/journal/pool stack, chaos runs stay single-process and
-deterministic, and the HTTP surface has its own test module.
+Jobs enter below the HTTP layer (the HTTP surface has its own test
+module); the front door is up so node processes can reach the service.
 
 All randomness flows from one seeded :class:`random.Random`, so every
-"random" victim (worker, record, byte, bit) is reproducible from the
-scenario's seed.
+"random" victim (worker, node, record, byte, bit) is reproducible from
+the scenario's seed.
 
-``crash()`` is the SIGKILL model: the dispatcher is stopped, workers
-are killed, and the journal object is *abandoned* — never flushed,
-fsync'd or closed — so recovery sees exactly what a dead process would
-have left in the page cache (the journal flushes each append to the
-kernel, hence a process kill loses nothing already acknowledged).
+``crash()`` is the SIGKILL model: the front door goes away
+mid-connection, the in-process node stops and its workers are killed,
+and the journal object is *abandoned* — never flushed, fsync'd or
+closed — so recovery sees exactly what a dead process would have left
+in the page cache (the journal flushes each append to the kernel, hence
+a process kill loses nothing already acknowledged).  Node processes
+keep running and reconnect once the service is back on the same port.
 """
 
 from __future__ import annotations
@@ -35,22 +38,54 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from repro.service.cluster.coordinator import ClusterService
+from repro.service.cluster.frontdoor import ClusterFrontDoor
+from repro.service.cluster.node import ClusterNode
 from repro.service.journal import Journal
 from repro.service.jobs import JobSpec, execute_job
 from repro.service.pool import SimulationPool
-from repro.service.server import SimulationService
 from repro.service.store import ResultStore
 
 #: Terminal statuses a job may legally end in (exactly one of).
 TERMINAL = ("done", "failed", "dead_letter")
 
 
-class ChaosFabric:
-    """A restartable service fabric rooted at one directory.
+def _node_main(coordinator_url: str, store_dir: str, node_id: str,
+               workers: int, heartbeat_s: float,
+               close_fds: Sequence[int] = ()) -> None:
+    """Entry point of one worker-node *process* (its own process group,
+    so a SIGKILL aimed at the node takes its pool workers down too —
+    the honest node-death model: nothing on that host survives).
 
-    ``start()`` builds store + journal + pool + service from whatever
-    the directory already holds (so a restart recovers); ``crash()``
-    kills it without any graceful teardown; ``stop()`` drains cleanly.
+    ``close_fds`` are file descriptors inherited across the fork that
+    the node must not hold — above all the service's *listening*
+    socket, which would otherwise keep the port bound after a service
+    crash and block the same-port restart."""
+    os.setpgrp()
+    for fd in close_fds:
+        try:
+            os.close(fd)
+        except OSError:
+            pass
+    from repro.service.cluster.node import run_node
+    run_node(coordinator_url, store_dir, node_id=node_id, workers=workers,
+             heartbeat_s=heartbeat_s)
+
+
+class ChaosFabric:
+    """A restartable service rooted at one directory.
+
+    ``start()`` builds store + journal + service + front door from
+    whatever the directory already holds (so a restart recovers), with
+    an in-process node of ``workers`` pool workers unless ``workers`` is
+    0; ``spawn_node()`` adds real node processes (``node_workers`` each).
+    ``crash()`` kills the service without any graceful teardown,
+    ``stop()`` drains cleanly.  ``lease_s``/``heartbeat_s``/``timeout``
+    shape the in-process node's pool; ``suspect_after_s``/
+    ``dead_after_s`` the service's node liveness, which every node
+    renews each ``node_heartbeat_s``.  The port is pinned after the
+    first ``start()`` so a restart reuses the same address and live
+    node processes reconnect on their own.
     """
 
     def __init__(self, root, workers: int = 2, seed: int = 0,
@@ -59,7 +94,11 @@ class ChaosFabric:
                  max_redeliveries: int = 2,
                  max_queue: int = 64,
                  timeout: Optional[float] = None,
-                 journal_sync: str = "always") -> None:
+                 journal_sync: str = "always",
+                 node_workers: int = 1,
+                 suspect_after_s: float = 0.6,
+                 dead_after_s: float = 1.2,
+                 node_heartbeat_s: float = 0.15) -> None:
         self.root = Path(root)
         self.workers = workers
         self.rng = random.Random(seed)
@@ -69,51 +108,166 @@ class ChaosFabric:
         self.max_queue = max_queue
         self.timeout = timeout
         self.journal_sync = journal_sync
+        self.node_workers = node_workers
+        self.suspect_after_s = suspect_after_s
+        self.dead_after_s = dead_after_s
+        self.node_heartbeat_s = node_heartbeat_s
         self.generation = 0
+        self.port = 0  # pinned after the first start()
         self.store: Optional[ResultStore] = None
-        self.service: Optional[SimulationService] = None
+        self.service: Optional[ClusterService] = None
+        self.door: Optional[ClusterFrontDoor] = None
+        # fork, not spawn: spawn re-imports the caller's __main__ (hostile
+        # under pytest), and the pool already forks under threaded parents.
+        self._ctx = multiprocessing.get_context("fork")
+        self.nodes: Dict[str, multiprocessing.Process] = {}
+        self._node_seq = 0
+
+    @property
+    def url(self) -> str:
+        return f"http://127.0.0.1:{self.port}"
 
     # -- lifecycle -------------------------------------------------------------
 
-    def start(self) -> SimulationService:
+    def start(self) -> ClusterService:
         assert self.service is None, "fabric already running"
         self.generation += 1
         self.store = ResultStore(self.root / "store")
         journal = Journal(self.root / "store" / "journal",
                           sync=self.journal_sync)
-        pool = SimulationPool(n_workers=self.workers, store=self.store,
-                              timeout=self.timeout,
-                              lease_s=self.lease_s,
-                              heartbeat_s=self.heartbeat_s,
-                              max_redeliveries=self.max_redeliveries)
-        self.service = SimulationService(pool, self.store,
-                                         max_queue=self.max_queue,
-                                         journal=journal)
+        self.service = ClusterService(
+            self.store, max_queue=self.max_queue, journal=journal,
+            suspect_after_s=self.suspect_after_s,
+            dead_after_s=self.dead_after_s,
+            max_redeliveries=self.max_redeliveries)
+        if self.workers:
+            pool = SimulationPool(n_workers=self.workers, store=self.store,
+                                  timeout=self.timeout,
+                                  lease_s=self.lease_s,
+                                  heartbeat_s=self.heartbeat_s,
+                                  max_redeliveries=self.max_redeliveries,
+                                  telemetry=True)
+            ClusterNode(self.service, heartbeat_s=self.node_heartbeat_s,
+                        lease_wait_s=self.node_heartbeat_s, pool=pool)
+        self.door = ClusterFrontDoor(self.service, port=self.port)
         self.service.start()
+        self.door.start()
+        self.port = self.door.port
         return self.service
 
     def crash(self) -> None:
         """Die like a SIGKILL: no drain, no journal close, workers shot."""
+        door, self.door = self.door, None
         service, self.service = self.service, None
+        if door is not None:
+            door.stop()
         if service is None:
             return
-        service._stop.set()
-        service._dispatcher.join(timeout=5.0)
-        service.pool.kill()
-        # The Journal object is abandoned un-closed on purpose (crash
-        # model); drop the handle so the next generation reopens fresh.
-        service.journal._fh = None
+        node = service.local_node
+        if node is not None:
+            node.stop()
+            node.pool.kill()
+        if service.journal is not None:
+            # Abandoned un-closed on purpose (crash model); drop the
+            # handle so the next generation reopens fresh.
+            service.journal._fh = None
 
     def stop(self) -> None:
-        """Graceful teardown (drain + journal close)."""
+        """Graceful teardown: node processes stop, the in-process node
+        finishes its leases, the journal closes."""
+        for node_id in list(self.nodes):
+            self.stop_node(node_id)
+        door, self.door = self.door, None
         service, self.service = self.service, None
         if service is not None:
-            service.drain(timeout_s=30.0)
+            service.drain(timeout_s=30.0 if self.workers else 0.0)
+        if door is not None:
+            door.stop()
+        if service is not None:
             service.stop()
 
-    def restart(self) -> SimulationService:
+    def restart(self) -> ClusterService:
         self.crash()
         return self.start()
+
+    # -- node processes --------------------------------------------------------
+
+    def spawn_node(self, node_id: Optional[str] = None,
+                   workers: Optional[int] = None) -> str:
+        self._node_seq += 1
+        node_id = node_id or f"chaos-node-{self._node_seq}"
+        listen_fds = []
+        if self.door is not None and self.door._server is not None:
+            listen_fds = [s.fileno() for s in self.door._server.sockets]
+        proc = self._ctx.Process(
+            target=_node_main,
+            args=(self.url, str(self.root / node_id), node_id,
+                  workers or self.node_workers, self.node_heartbeat_s,
+                  listen_fds),
+            daemon=False)  # daemonic processes cannot fork pool workers
+        proc.start()
+        self.nodes[node_id] = proc
+        return node_id
+
+    def wait_nodes_alive(self, n: int, timeout_s: float = 30.0) -> None:
+        """Wait until ``n`` node processes are alive in the roster."""
+        deadline = time.monotonic() + timeout_s
+        while True:
+            roster = self.service.roster() if self.service else []
+            if sum(1 for e in roster if e["state"] == "alive"
+                   and e["node"] in self.nodes) >= n:
+                return
+            if time.monotonic() > deadline:
+                raise TimeoutError(
+                    f"only {len(roster)} node(s) registered after "
+                    f"{timeout_s}s (wanted {n})")
+            time.sleep(0.05)
+
+    def kill_busy_node(self, timeout_s: float = 30.0) -> str:
+        """Wait until some node process provably holds a lease, then
+        SIGKILL it — guarantees the kill costs a delivery (the
+        reclaim/redelivery path must run for the batch to finish)."""
+        deadline = time.monotonic() + timeout_s
+        while True:
+            busy = sorted(e["node"] for e in self.service.roster()
+                          if e["leased"] > 0 and e["node"] in self.nodes
+                          and self.nodes[e["node"]].is_alive())
+            if busy:
+                return self.kill_node(self.rng.choice(busy))
+            if time.monotonic() > deadline:
+                raise TimeoutError("no node ever held a lease")
+            time.sleep(0.02)
+
+    def kill_node(self, node_id: Optional[str] = None) -> str:
+        """SIGKILL one node's whole process group (agent + pool
+        workers); the service only learns via missed heartbeats."""
+        live = sorted(nid for nid, proc in self.nodes.items()
+                      if proc.is_alive())
+        assert live, "no live node to kill"
+        node_id = node_id or self.rng.choice(live)
+        proc = self.nodes[node_id]
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.join(timeout=10.0)
+        return node_id
+
+    def stop_node(self, node_id: str, timeout_s: float = 30.0) -> None:
+        """Graceful node shutdown (SIGTERM: finish in-flight, report,
+        exit)."""
+        proc = self.nodes.pop(node_id, None)
+        if proc is None:
+            return
+        if proc.is_alive():
+            proc.terminate()
+            proc.join(timeout=timeout_s)
+        if proc.is_alive():  # refuse to leak processes out of a test
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.join(timeout=5.0)
 
     # -- job plumbing ----------------------------------------------------------
 
@@ -131,11 +285,11 @@ class ChaosFabric:
 
     def wait_all(self, timeout_s: float = 300.0) -> Dict[str, dict]:
         """Wait until every tracked job is terminal; {id: public entry}."""
-        import time
         deadline = time.monotonic() + timeout_s
         while True:
             entries = {e["id"]: e for e in self.service.jobs_snapshot()}
-            if all(e["status"] in TERMINAL for e in entries.values()):
+            if entries and all(e["status"] in TERMINAL
+                               for e in entries.values()):
                 return entries
             if time.monotonic() > deadline:
                 stuck = [e["id"] for e in entries.values()
@@ -146,12 +300,15 @@ class ChaosFabric:
     # -- fault injectors (all seeded through self.rng) -------------------------
 
     def kill_random_worker(self) -> int:
-        """SIGKILL one live worker (preferring one with a job in flight,
-        so the kill actually costs a delivery); returns its pid."""
+        """SIGKILL one live worker of the in-process node (preferring
+        one with a job in flight, so the kill actually costs a
+        delivery); returns its pid."""
         pool = self.service.pool
-        busy = sorted(pid for pid in pool._assigned
-                      if pid in pool._workers and pool._workers[pid].is_alive())
-        victims = busy or sorted(pid for pid, proc in pool._workers.items()
+        # The node thread mutates both dicts: iterate over copies.
+        workers = dict(pool._workers)
+        busy = sorted(pid for pid in list(pool._assigned)
+                      if pid in workers and workers[pid].is_alive())
+        victims = busy or sorted(pid for pid, proc in workers.items()
                                  if proc.is_alive())
         assert victims, "no live worker to kill"
         pid = self.rng.choice(victims)
@@ -201,217 +358,6 @@ class ChaosFabric:
         data[offset] ^= 1 << self.rng.randrange(8)
         path.write_bytes(bytes(data))
         return key
-
-
-# -- cluster fabric ------------------------------------------------------------
-
-
-def _node_main(coordinator_url: str, store_dir: str, node_id: str,
-               workers: int, heartbeat_s: float,
-               close_fds: Sequence[int] = ()) -> None:
-    """Entry point of one worker-node *process* (its own process group,
-    so a SIGKILL aimed at the node takes its pool workers down too —
-    the honest node-death model: nothing on that host survives).
-
-    ``close_fds`` are file descriptors inherited across the fork that
-    the node must not hold — above all the coordinator's *listening*
-    socket, which would otherwise keep the port bound after a
-    coordinator crash and block the same-port restart."""
-    os.setpgrp()
-    for fd in close_fds:
-        try:
-            os.close(fd)
-        except OSError:
-            pass
-    from repro.service.cluster.node import run_node
-    run_node(coordinator_url, store_dir, node_id=node_id, workers=workers,
-             heartbeat_s=heartbeat_s)
-
-
-class ClusterChaosFabric:
-    """A restartable coordinator + real node processes on one directory.
-
-    The coordinator (state machine + asyncio front door) runs in-process
-    so tests can crash it surgically and reach into its registry; nodes
-    are genuine OS processes wrapping real pools, killed with
-    ``SIGKILL`` to the whole process group.  The port is pinned after
-    the first ``start()`` so a coordinator restart reuses the same
-    address and live nodes reconnect on their own.
-    """
-
-    def __init__(self, root, seed: int = 0,
-                 node_workers: int = 1,
-                 suspect_after_s: float = 0.6,
-                 dead_after_s: float = 1.2,
-                 heartbeat_s: float = 0.15,
-                 max_queue: int = 256,
-                 journal_sync: str = "always") -> None:
-        self.root = Path(root)
-        self.rng = random.Random(seed)
-        self.node_workers = node_workers
-        self.suspect_after_s = suspect_after_s
-        self.dead_after_s = dead_after_s
-        self.heartbeat_s = heartbeat_s
-        self.max_queue = max_queue
-        self.journal_sync = journal_sync
-        self.generation = 0
-        self.port = 0  # pinned after the first start()
-        self.store: Optional[ResultStore] = None
-        self.service = None
-        self.door = None
-        # fork, not spawn: spawn re-imports the caller's __main__ (hostile
-        # under pytest), and the pool already forks under threaded parents.
-        self._ctx = multiprocessing.get_context("fork")
-        self.nodes: Dict[str, multiprocessing.Process] = {}
-        self._node_seq = 0
-
-    @property
-    def url(self) -> str:
-        return f"http://127.0.0.1:{self.port}"
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def start(self):
-        assert self.service is None, "coordinator already running"
-        from repro.service.cluster.frontdoor import create_coordinator
-        self.generation += 1
-        self.door, self.service = create_coordinator(
-            port=self.port, store_dir=str(self.root / "coord"),
-            max_queue=self.max_queue, journal_sync=self.journal_sync,
-            suspect_after_s=self.suspect_after_s,
-            dead_after_s=self.dead_after_s)
-        self.store = self.service.store
-        self.service.start()
-        self.door.start()
-        self.port = self.door.port
-        return self.service
-
-    def crash(self) -> None:
-        """Coordinator SIGKILL model: front door gone mid-connection,
-        journal abandoned un-flushed, node processes left running."""
-        door, self.door = self.door, None
-        service, self.service = self.service, None
-        if door is not None:
-            door.stop()
-        if service is not None and service.journal is not None:
-            service.journal._fh = None  # abandoned, never closed
-        self._crashed_service = service
-
-    def restart(self):
-        self.crash()
-        return self.start()
-
-    def stop(self) -> None:
-        for node_id in list(self.nodes):
-            self.stop_node(node_id)
-        door, self.door = self.door, None
-        service, self.service = self.service, None
-        if service is not None:
-            service.begin_drain()
-        if door is not None:
-            door.stop()
-        if service is not None:
-            service.stop()
-
-    # -- nodes -----------------------------------------------------------------
-
-    def spawn_node(self, node_id: Optional[str] = None,
-                   workers: Optional[int] = None) -> str:
-        self._node_seq += 1
-        node_id = node_id or f"chaos-node-{self._node_seq}"
-        listen_fds = []
-        if self.door is not None and self.door._server is not None:
-            listen_fds = [s.fileno() for s in self.door._server.sockets]
-        proc = self._ctx.Process(
-            target=_node_main,
-            args=(self.url, str(self.root / node_id), node_id,
-                  workers or self.node_workers, self.heartbeat_s,
-                  listen_fds),
-            daemon=False)  # daemonic processes cannot fork pool workers
-        proc.start()
-        self.nodes[node_id] = proc
-        return node_id
-
-    def wait_nodes_alive(self, n: int, timeout_s: float = 30.0) -> None:
-        deadline = time.monotonic() + timeout_s
-        while True:
-            roster = self.service.roster() if self.service else []
-            if sum(1 for e in roster if e["state"] == "alive") >= n:
-                return
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"only {len(roster)} node(s) registered after "
-                    f"{timeout_s}s (wanted {n})")
-            time.sleep(0.05)
-
-    def kill_busy_node(self, timeout_s: float = 30.0) -> str:
-        """Wait until some node provably holds a lease, then SIGKILL it
-        — guarantees the kill costs a delivery (the reclaim/redelivery
-        path must run for the batch to finish)."""
-        deadline = time.monotonic() + timeout_s
-        while True:
-            busy = sorted(e["node"] for e in self.service.roster()
-                          if e["leased"] > 0 and e["node"] in self.nodes
-                          and self.nodes[e["node"]].is_alive())
-            if busy:
-                return self.kill_node(self.rng.choice(busy))
-            if time.monotonic() > deadline:
-                raise TimeoutError("no node ever held a lease")
-            time.sleep(0.02)
-
-    def kill_node(self, node_id: Optional[str] = None) -> str:
-        """SIGKILL one node's whole process group (agent + pool
-        workers); the coordinator only learns via missed heartbeats."""
-        live = sorted(nid for nid, proc in self.nodes.items()
-                      if proc.is_alive())
-        assert live, "no live node to kill"
-        node_id = node_id or self.rng.choice(live)
-        proc = self.nodes[node_id]
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        proc.join(timeout=10.0)
-        return node_id
-
-    def stop_node(self, node_id: str, timeout_s: float = 30.0) -> None:
-        """Graceful node shutdown (SIGTERM: finish in-flight, report,
-        exit)."""
-        proc = self.nodes.pop(node_id, None)
-        if proc is None:
-            return
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=timeout_s)
-        if proc.is_alive():  # refuse to leak processes out of a test
-            try:
-                os.killpg(proc.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            proc.join(timeout=5.0)
-
-    # -- job plumbing ----------------------------------------------------------
-
-    def submit(self, specs: Sequence[JobSpec]) -> List[str]:
-        return [self.service.submit(spec)["id"] for spec in specs]
-
-    def ensure_submitted(self, specs: Sequence[JobSpec]) -> List[str]:
-        known = {entry.get("key") for entry in self.service.jobs_snapshot()}
-        return [self.service.submit(spec)["id"] for spec in specs
-                if spec.key() not in known]
-
-    def wait_all(self, timeout_s: float = 300.0) -> Dict[str, dict]:
-        deadline = time.monotonic() + timeout_s
-        while True:
-            entries = {e["id"]: e for e in self.service.jobs_snapshot()}
-            if entries and all(e["status"] in TERMINAL
-                               for e in entries.values()):
-                return entries
-            if time.monotonic() > deadline:
-                stuck = [e["id"] for e in entries.values()
-                         if e["status"] not in TERMINAL]
-                raise TimeoutError(f"jobs stuck after {timeout_s}s: {stuck}")
-            time.sleep(0.05)
 
 
 # -- oracle --------------------------------------------------------------------

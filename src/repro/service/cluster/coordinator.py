@@ -1,12 +1,14 @@
-"""Coordinator state machine for the distributed simulation fabric.
+"""Job registry and node roster of the simulation service.
 
-:class:`ClusterService` is the cluster-mode sibling of
-:class:`~repro.service.server.SimulationService`: the same job registry,
-bounded priority queue, write-ahead journal and telemetry plane — but
-instead of feeding a local multiprocessing pool, jobs are **leased to
-registered worker nodes** that pull work over HTTP (the transport lives
-in :mod:`~repro.service.cluster.frontdoor`; this module is pure state
-behind one lock, directly drivable by tests).
+:class:`ClusterService` is the one service implementation: a job
+registry, a bounded priority queue, a write-ahead journal and a
+telemetry plane, with jobs **leased to registered worker nodes**.  A
+node either runs in this process (``repro serve``: one
+:class:`~repro.service.cluster.node.ClusterNode` sharing the store,
+calling the four node methods directly) or in its own process, pulling
+work over HTTP (``--role node``).  The transport lives in
+:mod:`~repro.service.cluster.frontdoor`; this module is pure state
+behind one lock, directly drivable by tests.
 
 Design points:
 
@@ -21,12 +23,12 @@ Design points:
   of hopping the fleet forever.
 * **Journal-backed redelivery** — every state transition is journaled
   before it is acknowledged (``leased`` records carry the node id), so
-  a coordinator crash recovers exactly like the single-process service:
-  terminal jobs keep their state, store-hit jobs complete with zero
-  re-simulation, everything else re-enters the queue.  Node leases do
-  not survive a restart — but a node that finishes an orphaned job
-  still reports it, and the first completion wins (late duplicates are
-  idempotent no-ops; the store write is byte-identical either way).
+  after a crash terminal jobs keep their state, store-hit jobs complete
+  with zero re-simulation and everything else re-enters the queue.
+  Node leases do not survive a restart — but a node that finishes an
+  orphaned job still reports it, and the first completion wins (late
+  duplicates are idempotent no-ops; the store write is byte-identical
+  either way).
 * **Cross-sweep dedup** — the content-addressed store is the dedup
   authority: a submission whose key is stored completes instantly,
   whichever node computed it for whomever.  Submissions racing *ahead*
@@ -36,8 +38,7 @@ Design points:
 * **Telemetry across the wire** — nodes attach span events (started /
   simulated / stored, stamped with the node id) and cumulative metric
   snapshots to their messages; the coordinator folds them into its
-  SpanLog and ``/metrics``, so cluster-mode observability is as
-  complete as single-process mode.
+  SpanLog and ``/metrics``; an in-process node reports the same way.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ from repro.obs.telemetry import (MetricsRegistry, SpanLog, fold_spans,
                                  new_trace_id, render_prometheus)
 from repro.service.journal import TERMINAL_STATES, Journal, fold_jobs
 from repro.service.jobs import JobSpec
-from repro.service.server import (DEFAULT_PRIORITY, STATS_SCHEMA,
-                                  DrainingError, QueueFullError)
 from repro.service.store import (ResultStore, trace_key,
                                  trace_wire_record)
 
@@ -62,6 +61,22 @@ _LOG = get_logger("service.cluster")
 
 #: Node liveness states, in escalation order.
 NODE_STATES = ("alive", "suspect", "dead")
+
+#: Priority used when a submission does not specify one.
+DEFAULT_PRIORITY = 100
+
+#: Version tag of the ``GET /stats`` payload.  Schema 2 namespaced the
+#: pool snapshot (``counters`` / ``trace`` / topology keys) and added
+#: the ``telemetry`` section.
+STATS_SCHEMA = 2
+
+
+class QueueFullError(Exception):
+    """The bounded submission queue is at capacity."""
+
+
+class DrainingError(Exception):
+    """The service is draining and accepts no new jobs."""
 
 
 class UnknownNodeError(Exception):
@@ -105,6 +120,9 @@ class ClusterService:
                 "repro_job_run_seconds",
                 "Seconds between node lease and terminal state")
         self._lock = threading.RLock()
+        #: Notified (lock held) whenever work becomes leasable; an idle
+        #: in-process node parks on it inside :meth:`try_lease`.
+        self._work = threading.Condition(self._lock)
         self._jobs: Dict[str, dict] = {}
         self._seq = 0
         #: (priority, seq, job_id) min-heap; resolved entries are skipped
@@ -136,16 +154,29 @@ class ClusterService:
         self.on_terminal: Optional[Callable[[str], None]] = None
         self.on_enqueued: Optional[Callable[[], None]] = None
         self.on_node_event: Optional[Callable[[str, str], None]] = None
+        #: The in-process node (``repro serve``), attached by its
+        #: constructor; started and stopped with the service.
+        self.local_node = None
 
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> None:
         if self.journal is not None:
             self.recover()
+        if self.local_node is not None:
+            self.local_node.start()
 
     def stop(self) -> None:
+        if self.local_node is not None:
+            self.local_node.stop()
+            self.local_node.close()
         if self.journal is not None:
             self.journal.close()
+
+    @property
+    def pool(self):
+        """The in-process node's pool (``/stats`` ``pool``), or None."""
+        return None if self.local_node is None else self.local_node.pool
 
     @property
     def draining(self) -> bool:
@@ -204,12 +235,17 @@ class ClusterService:
     # -- recovery --------------------------------------------------------------
 
     def recover(self) -> None:
-        """Replay the journal (same contract as the single-process
-        service): terminal jobs keep their state, store-hit jobs
-        complete with zero re-simulation, the rest re-enter the queue.
-        Node leases never survive a restart — a ``leased`` job whose
-        node is gone is simply non-terminal and requeues; if its old
-        node still finishes it, the first completion wins."""
+        """Replay the journal: re-register every acknowledged job.
+
+        Terminal jobs keep their state, store-hit jobs complete with
+        zero re-simulation (the content-addressed store is the dedup
+        authority — this also heals a torn terminal record), the rest
+        re-enter the queue at their original priority.  Node leases
+        never survive a restart — a ``leased`` job is simply
+        non-terminal and requeues; if its old node still finishes it,
+        the first completion wins.  Afterwards the journal is compacted
+        down to the live jobs, with the spans of terminal jobs kept as
+        ``span`` records so they stay queryable."""
         assert self.journal is not None
         records = list(self.journal.records())
         folded = fold_jobs(records)
@@ -332,7 +368,6 @@ class ClusterService:
         now = round(time.time(), 6)
         if traced:
             spec.trace_id = trace
-        notify_enqueued = False
         with self._lock:
             self._seq += 1
             job_id = f"job-{self._seq}"
@@ -402,9 +437,9 @@ class ClusterService:
                        priority=priority)
             self._span(job_id, "journaled")
             self._push_queue(priority, job_id)
-            notify_enqueued = True
+            self._work.notify_all()
             public = self._public(entry)
-        if notify_enqueued and self.on_enqueued is not None:
+        if self.on_enqueued is not None:
             try:
                 self.on_enqueued()
             except Exception:
@@ -464,43 +499,56 @@ class ClusterService:
             return {"node": node_id, "state": node["state"],
                     "draining": self._draining}
 
-    def try_lease(self, node_id: str, max_jobs: int = 1) -> List[dict]:
-        """Hand up to ``max_jobs`` queued jobs to ``node_id``.
+    def try_lease(self, node_id: str, max_jobs: int = 1,
+                  wait_s: float = 0.0) -> List[dict]:
+        """Hand up to ``max_jobs`` queued jobs to ``node_id``, waiting up
+        to ``wait_s`` for work to arrive when the queue is empty.
 
         Returns wire-ready job dicts (id, key, spec, priority, attempt).
         Leasing renews the node's liveness; every lease is journaled
-        with the node id before the jobs leave the building."""
-        leases: List[dict] = []
+        with the node id before the jobs leave the building.  The front
+        door parks remote nodes itself and always passes ``wait_s=0``."""
+        deadline = time.monotonic() + wait_s
         with self._lock:
-            node = self._touch_node(node_id)
-            if self._draining:
-                return []
-            while len(leases) < max(1, int(max_jobs)):
-                entry = self._pop_queued()
-                if entry is None:
-                    break
-                now = round(time.time(), 6)
-                entry["status"] = "running"
-                entry["node"] = node_id
-                entry["attempts"] = entry.get("attempts", 0) + 1
-                entry["_ts_leased"] = now
-                node["leased"].add(entry["id"])
-                self.counters["dispatched"] += 1
-                self._journal_append("leased", job=entry["id"], ts=now,
-                                     attempt=entry["attempts"],
-                                     node=node_id)
-                self._span(entry["id"], "leased", ts=now,
-                           attempt=entry["attempts"], node=node_id)
-                if self.telemetry is not None:
-                    submitted = entry.get("_ts_submitted")
-                    if submitted is not None:
-                        self._m_queue_wait.observe(max(0.0, now - submitted))
-                spec = entry["spec"]
-                leases.append({"id": entry["id"], "key": entry["key"],
-                               "spec": dataclasses.asdict(spec),
-                               "priority": entry["priority"],
-                               "attempt": entry["attempts"],
-                               "trace": entry.get("trace")})
+            while True:
+                leases = self._lease_locked(node_id, max_jobs)
+                remaining = deadline - time.monotonic()
+                if leases or self._draining or remaining <= 0:
+                    return leases
+                self._work.wait(remaining)
+
+    def _lease_locked(self, node_id: str, max_jobs: int) -> List[dict]:
+        """One lease attempt (lock held); see :meth:`try_lease`."""
+        leases: List[dict] = []
+        node = self._touch_node(node_id)
+        if self._draining:
+            return leases
+        while len(leases) < max(1, int(max_jobs)):
+            entry = self._pop_queued()
+            if entry is None:
+                break
+            now = round(time.time(), 6)
+            entry["status"] = "running"
+            entry["node"] = node_id
+            entry["attempts"] = entry.get("attempts", 0) + 1
+            entry["_ts_leased"] = now
+            node["leased"].add(entry["id"])
+            self.counters["dispatched"] += 1
+            self._journal_append("leased", job=entry["id"], ts=now,
+                                 attempt=entry["attempts"],
+                                 node=node_id)
+            self._span(entry["id"], "leased", ts=now,
+                       attempt=entry["attempts"], node=node_id)
+            if self.telemetry is not None:
+                submitted = entry.get("_ts_submitted")
+                if submitted is not None:
+                    self._m_queue_wait.observe(max(0.0, now - submitted))
+            spec = entry["spec"]
+            leases.append({"id": entry["id"], "key": entry["key"],
+                           "spec": dataclasses.asdict(spec),
+                           "priority": entry["priority"],
+                           "attempt": entry["attempts"],
+                           "trace": entry.get("trace")})
         return leases
 
     def complete(self, node_id: str, job_id: str, record: dict,
@@ -513,7 +561,8 @@ class ClusterService:
         First completion wins: if the job is already terminal (a slower
         duplicate after redelivery, or a recovered orphan) the call is
         an idempotent no-op — except that a valid ``done`` record is
-        still written to the store, which is byte-identical anyway.
+        still stored if the store lacks it.  An in-process node's pool
+        has already written the shared store, so nothing is rewritten.
         Unknown nodes may complete: work is work, and refusing it would
         waste a finished simulation."""
         terminal_jobs: List[str] = []
@@ -527,9 +576,10 @@ class ClusterService:
             status = self._record_status(record)
             if entry is not None:
                 key = entry.get("key") or key
-            if status == "done" and key is not None:
-                # Store write first (and always): the content-addressed
-                # store is the dedup authority for every later sweep.
+            if status == "done" and key is not None \
+                    and key not in self.store:
+                # Store write first: the content-addressed store is the
+                # dedup authority for every later sweep.
                 self.store.put(key, record)
             if entry is None or entry["status"] in TERMINAL_STATES:
                 self.counters["duplicate_completions"] += 1
@@ -648,6 +698,8 @@ class ClusterService:
                     log_event(_LOG, "cluster.node_suspect", node=node_id,
                               silent_s=round(age, 3))
                     events.append((node_id, "suspect"))
+            if notify_enqueued:
+                self._work.notify_all()
         for node_id, event in events:
             self._fire_node_event(node_id, event)
         if notify_enqueued and self.on_enqueued is not None:
@@ -788,6 +840,17 @@ class ClusterService:
                 spans=len(self.spans),
                 nodes_reporting=sum(
                     1 for n in self._node_snapshots() if n))
+        if self.pool is not None:
+            pool = self.pool.stats_snapshot()
+            stats["pool"] = {
+                "workers": pool.pop("workers"),
+                "degraded": pool.pop("degraded"),
+                "pending": pool.pop("pending"),
+                "leases": pool.pop("leases"),
+                "trace": {"evictions": pool.pop("trace_evictions"),
+                          "store": pool.pop("trace_store")},
+                "counters": pool,
+            }
         if self.journal is not None:
             stats["journal"] = self.journal.stats_snapshot()
         if self.scrub_report is not None:

@@ -1,31 +1,45 @@
-"""Async front door for the cluster coordinator.
+"""HTTP front door of the simulation service.
 
-The single-process service uses one thread per connection
-(``ThreadingHTTPServer``) — fine for a handful of clients, hopeless for
-a fleet of nodes plus thousands of concurrent submitters.  The cluster
-front door replaces it with one asyncio event loop (running in its own
-thread so the blocking service objects need no rewrite) that speaks
-enough HTTP/1.1 for this API: keep-alive connections, ``Content-Length``
-bodies, nothing else.
+One asyncio event loop (running in its own thread so the blocking
+service objects need no rewrite) speaks enough HTTP/1.1 for this API:
+keep-alive connections, ``Content-Length`` bodies, nothing else.  Each
+response leaves in one write, so a kept-alive client never waits on a
+delayed ACK.  It is the only place outside input enters the service:
+every submitted field is validated here (bad input is a 400, never a
+500 or a stored result).
 
-The client-facing routes keep the single-process server's JSON shapes
-and availability contract byte-for-byte — ``POST /jobs`` (single or
-batch) answers 202 with accepted entries, 429 + ``Retry-After`` when the
-bounded queue fills, 503 + ``Retry-After`` while draining — plus one
-cluster extra: ``GET /jobs/<id>?wait=S`` **long-polls**, parking the
-request on an asyncio event until the job turns terminal (or S seconds
-pass), so thousands of waiting clients cost events, not threads.
+Client-facing routes
+--------------------
+``POST /jobs``            submit one job (``{"core": ..., "app": ...}``)
+                          or a batch (``{"jobs": [...]}``); 202 with one
+                          entry per job, **429** + ``Retry-After`` when
+                          the bounded queue is full, **503** +
+                          ``Retry-After`` while draining
+``GET /jobs/<id>``        job status: queued | running | done | failed
+                          | dead_letter; ``?wait=S`` **long-polls**,
+                          parking on an asyncio event until the job
+                          turns terminal (or S seconds pass)
+``GET /jobs/<id>/trace``  the job's span (submit -> terminal), kept
+                          across crash/restart via the journal
+``GET /jobs``             list jobs (``?status=`` filters)
+``GET /results/<key>``    the raw store record for a result key
+``GET /healthz``          ``ok`` | ``draining``, plus the node roster
+``GET /stats``            versioned (``schema``) snapshot
+``GET /metrics``          Prometheus text exposition
+``POST /scrub``           integrity walk of the result + trace stores
 
 Node-facing routes (``POST /cluster/register|heartbeat|lease|complete``)
-carry the pull protocol; ``lease`` long-polls on a global work event so
-idle nodes learn of new work in one round-trip without hammering the
-queue.  A liveness tick runs as a loop task, escalating silent nodes
-alive -> suspect -> dead (lease reclaim + redelivery).
+carry the pull protocol of ``--role node`` processes; ``lease``
+long-polls on a global work event so idle nodes learn of new work in
+one round-trip without hammering the queue.  A liveness tick runs as a
+loop task, escalating silent nodes alive -> suspect -> dead (lease
+reclaim + redelivery).
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import re
 import signal
@@ -35,11 +49,13 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from repro.obs.telemetry import configure_logging, get_logger, log_event
-from repro.service.cluster.coordinator import ClusterService, UnknownNodeError
+from repro.service.cluster.coordinator import (DEFAULT_PRIORITY,
+                                               ClusterService, DrainingError,
+                                               QueueFullError,
+                                               UnknownNodeError)
+from repro.service.cluster.node import ClusterNode
+from repro.service.jobs import JobSpec
 from repro.service.journal import Journal
-from repro.service.server import (DEFAULT_PRIORITY, RETRY_AFTER_S,
-                                  BadJobError, DrainingError, QueueFullError,
-                                  spec_from_request)
 from repro.service.store import ResultStore
 
 _LOG = get_logger("service.cluster.frontdoor")
@@ -48,6 +64,82 @@ _LOG = get_logger("service.cluster.frontdoor")
 LONG_POLL_CAP_S = 30.0
 #: Lost-wakeup fallback: parked lease waits re-check at least this often.
 POLL_SLICE_S = 0.25
+#: Hint sent with 429 (queue full) and 503 (draining) responses.
+RETRY_AFTER_S = 2
+
+
+class BadJobError(Exception):
+    """The submitted job spec is invalid."""
+
+
+def _int_field(body: dict, name: str, default: int) -> int:
+    try:
+        return int(body.get(name, default))
+    except (TypeError, ValueError):
+        raise BadJobError(f"{name!r} must be an integer")
+
+
+def spec_from_request(body: dict) -> JobSpec:
+    """Validate one submitted job object into a JobSpec.
+
+    ``core`` is a known core name or a full config object; ``app`` is a
+    suite application name or ``profile`` a full profile object.  Trace
+    lengths must satisfy ``0 <= warmup < n``.
+    """
+    if not isinstance(body, dict):
+        raise BadJobError("job must be a JSON object")
+    core = body.get("core", "casino")
+    if isinstance(core, str):
+        from repro.__main__ import _CORES
+        if core not in _CORES:
+            raise BadJobError(
+                f"unknown core {core!r}; valid: {', '.join(sorted(_CORES))}")
+        cfg = _CORES[core]()
+    elif isinstance(core, dict):
+        try:
+            from repro.common.config_io import core_config_from_dict
+            cfg = core_config_from_dict(core)
+        except Exception as exc:
+            raise BadJobError(f"bad core config: {exc}")
+    else:
+        raise BadJobError("core must be a name or a config object")
+    profile = body.get("profile")
+    if profile is None:
+        app = body.get("app")
+        if not isinstance(app, str):
+            raise BadJobError("job needs an 'app' name or a 'profile' object")
+        from repro.workloads.suite import SUITE
+        if app not in SUITE:
+            raise BadJobError(f"unknown app {app!r}")
+        profile_obj = SUITE[app]
+    else:
+        try:
+            from repro.workloads.generator import WorkloadProfile
+            profile_obj = WorkloadProfile(**profile)
+        except (TypeError, ValueError) as exc:
+            raise BadJobError(f"bad profile: {exc}")
+    n_instrs = _int_field(body, "n", body.get("n_instrs", 24_000))
+    warmup = _int_field(body, "warmup", 6_000)
+    if n_instrs <= 0:
+        raise BadJobError("'n' must be positive")
+    if not 0 <= warmup < n_instrs:
+        raise BadJobError("'warmup' must be >= 0 and below 'n'")
+    try:
+        # Fault-injection hooks (chaos tests and the cluster smoke submit
+        # these over HTTP; neither is part of the result key, so they
+        # never pollute the store).
+        test_kill = int(body.get("test_kill", 0))
+        test_stall_s = float(body.get("test_stall_s", 0.0))
+    except (TypeError, ValueError):
+        raise BadJobError("'test_kill' and 'test_stall_s' must be numeric")
+    return JobSpec(core=dataclasses.asdict(cfg),
+                   profile=dataclasses.asdict(profile_obj),
+                   n_instrs=n_instrs, warmup=warmup,
+                   sanitize=bool(body["sanitize"]) if "sanitize" in body
+                   else None,
+                   retries=_int_field(body, "retries", 1),
+                   accounting=bool(body.get("accounting", True)),
+                   test_kill=test_kill, test_stall_s=test_stall_s)
 
 
 class ClusterFrontDoor:
@@ -179,16 +271,20 @@ class ClusterFrontDoor:
                 try:
                     length = int(headers.get("content-length", 0))
                 except ValueError:
-                    length = 0
-                body = await reader.readexactly(length) if length else b""
-                try:
+                    length = -1
+                close = (headers.get("connection", "").lower() == "close"
+                         or version == "HTTP/1.0")
+                if length < 0:
+                    # The body cannot be framed, so neither can the next
+                    # request on this connection: answer and close.
+                    status, payload, extra, ctype = \
+                        400, {"error": "bad Content-Length"}, {}, None
+                    close = True
+                else:
+                    body = await reader.readexactly(length) if length \
+                        else b""
                     status, payload, extra, ctype = \
                         await self._dispatch(method, target, body)
-                except Exception as exc:  # route bug: 500, keep serving
-                    log_event(_LOG, "frontdoor.error", target=target,
-                              error=repr(exc))
-                    status, payload, extra, ctype = \
-                        500, {"error": f"internal error: {exc}"}, {}, None
                 raw = payload if isinstance(payload, bytes) else \
                     (json.dumps(payload, sort_keys=True) + "\n").encode()
                 head_lines = [
@@ -199,8 +295,6 @@ class ClusterFrontDoor:
                 ]
                 for name, value in (extra or {}).items():
                     head_lines.append(f"{name}: {value}")
-                close = (headers.get("connection", "").lower() == "close"
-                         or version == "HTTP/1.0")
                 head_lines.append(
                     "Connection: close" if close else
                     "Connection: keep-alive")
@@ -221,13 +315,17 @@ class ClusterFrontDoor:
 
     async def _dispatch(self, method: str, target: str, body: bytes
                         ) -> Tuple[int, object, dict, Optional[str]]:
-        url = urllib.parse.urlsplit(target)
-        path = url.path
-        query = urllib.parse.parse_qs(url.query)
-        if method == "GET":
-            return await self._get(path, query)
-        if method == "POST":
-            return await self._post(path, query, body)
+        try:
+            url = urllib.parse.urlsplit(target)
+            query = urllib.parse.parse_qs(url.query)
+            if method == "GET":
+                return await self._get(url.path, query)
+            if method == "POST":
+                return await self._post(url.path, query, body)
+        except Exception as exc:  # route bug: 500, keep serving
+            log_event(_LOG, "frontdoor.error", target=target,
+                      error=repr(exc))
+            return 500, {"error": f"internal error: {exc}"}, {}, None
         return 405, {"error": f"method {method} not allowed"}, {}, None
 
     async def _get(self, path: str, query: dict):
@@ -325,8 +423,7 @@ class ClusterFrontDoor:
                                    "{'jobs': [...]}"}, {}, None)
         try:
             specs = [(spec_from_request(job),
-                      int(job.get("priority", DEFAULT_PRIORITY))
-                      if isinstance(job, dict) else DEFAULT_PRIORITY)
+                      _int_field(job, "priority", DEFAULT_PRIORITY))
                      for job in raw_jobs]
         except BadJobError as exc:
             return 400, {"error": str(exc)}, {}, None
@@ -412,14 +509,24 @@ _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             500: "Internal Server Error", 503: "Service Unavailable"}
 
 
-def create_coordinator(host: str = "127.0.0.1", port: int = 0,
-                       store_dir: str = ".repro-store",
-                       max_queue: int = 256,
-                       journal_sync: Optional[str] = "batch",
-                       telemetry: bool = True,
-                       suspect_after_s: float = 5.0,
-                       dead_after_s: float = 15.0):
-    """Build (but do not start) a coordinator + front door pair."""
+def create_service(host: str = "127.0.0.1", port: int = 0,
+                   store_dir: str = ".repro-store",
+                   max_queue: int = 64,
+                   journal_sync: Optional[str] = "batch",
+                   telemetry: bool = True,
+                   suspect_after_s: float = 5.0,
+                   dead_after_s: float = 15.0,
+                   workers: Optional[int] = 0,
+                   job_timeout_s: Optional[float] = None):
+    """Build (but do not start) a service + front door pair.
+
+    ``workers`` sizes the in-process node that shares the store (``None``
+    = one worker per CPU); ``0`` builds a bare coordinator that only
+    ``--role node`` processes serve.  ``service.start()`` replays the
+    journal under ``<store_dir>/journal`` (fsync policy ``always`` |
+    ``batch`` | ``off``; ``None`` runs without one) and starts the node;
+    ``door.start()`` opens the port.
+    """
     store = ResultStore(store_dir)
     journal = None
     if journal_sync not in (None, "none"):
@@ -428,30 +535,59 @@ def create_coordinator(host: str = "127.0.0.1", port: int = 0,
                              telemetry=telemetry,
                              suspect_after_s=suspect_after_s,
                              dead_after_s=dead_after_s)
+    if workers != 0:
+        ClusterNode(service, workers=workers, telemetry=telemetry,
+                    job_timeout_s=job_timeout_s)
     door = ClusterFrontDoor(service, host=host, port=port)
     return door, service
 
 
-def serve_coordinator(host: str, port: int, store_dir: str,
-                      max_queue: int = 256,
-                      journal_sync: Optional[str] = "batch",
-                      telemetry: bool = True,
-                      suspect_after_s: float = 5.0,
-                      dead_after_s: float = 15.0,
-                      drain_timeout_s: float = 30.0,
-                      echo=print) -> int:
-    """Blocking entry behind ``repro serve --role coordinator``.
+def serve(host: str, port: int, store_dir: str,
+          max_queue: int = 64,
+          journal_sync: Optional[str] = "batch",
+          telemetry: bool = True,
+          suspect_after_s: float = 5.0,
+          dead_after_s: float = 15.0,
+          drain_timeout_s: float = 30.0,
+          workers: Optional[int] = 0,
+          job_timeout_s: Optional[float] = None,
+          stats_interval: Optional[float] = None,
+          echo=print) -> int:
+    """Blocking entry behind ``repro serve`` (in-process node of
+    ``workers`` workers) and ``repro serve --role coordinator``
+    (``workers=0``).
 
-    Node roster transitions (registered / suspect / dead / recovered)
-    land on stdout with last-heartbeat ages; SIGTERM/SIGINT drain: new
-    submissions get 503 + ``Retry-After``, leased jobs finish on their
-    nodes (up to ``drain_timeout_s``), queued work stays journaled.
+    Node roster transitions (suspect / dead / recovered, and remote
+    registrations) land on stdout with last-heartbeat ages; with
+    ``stats_interval`` a ``service.stats`` log line follows every that
+    many seconds.  SIGTERM/SIGINT drain: new submissions get 503 +
+    ``Retry-After``, leased jobs finish (up to ``drain_timeout_s``),
+    queued work stays journaled for the next start, and the process
+    exits 0.
     """
     configure_logging()
-    door, service = create_coordinator(
+    door, service = create_service(
         host=host, port=port, store_dir=store_dir, max_queue=max_queue,
         journal_sync=journal_sync, telemetry=telemetry,
-        suspect_after_s=suspect_after_s, dead_after_s=dead_after_s)
+        suspect_after_s=suspect_after_s, dead_after_s=dead_after_s,
+        workers=workers, job_timeout_s=job_timeout_s)
+    service.start()
+    door.start()
+    pool = service.pool
+    echo(f"simulation service on {door.url} "
+         f"({pool.n_workers if pool else 0} local worker(s), store "
+         f"{store_dir}, queue {max_queue}, journal "
+         f"{journal_sync if service.journal else 'off'}, telemetry "
+         f"{'on' if telemetry else 'off'}, suspect after "
+         f"{suspect_after_s:g}s, dead after {dead_after_s:g}s)")
+    log_event(_LOG, "service.started", host=host, port=door.port,
+              store=store_dir, workers=pool.n_workers if pool else 0)
+    recovered = service.recovery
+    if recovered["replayed"]:
+        echo(f"recovered {recovered['replayed']} journaled job(s): "
+             f"{recovered['recovered_done']} already done, "
+             f"{recovered['requeued']} re-queued, "
+             f"{recovered['lost']} lost")
 
     def _roster_line(node_id: str, event: str) -> None:
         ages = {n["node"]: n["last_heartbeat_age_s"]
@@ -460,23 +596,22 @@ def serve_coordinator(host: str, port: int, store_dir: str,
              f"(last heartbeat {ages.get(node_id, 0.0):.1f}s ago; "
              f"{len(ages)} node(s) known)")
 
+    # Installed after the banner, which must stay the first stdout line.
     service.on_node_event = _roster_line
-    service.start()
-    door.start()
-    echo(f"cluster coordinator on {door.url} (store {store_dir}, queue "
-         f"{max_queue}, journal "
-         f"{journal_sync if service.journal else 'off'}, telemetry "
-         f"{'on' if telemetry else 'off'}, suspect after "
-         f"{suspect_after_s:g}s, dead after {dead_after_s:g}s)")
-    log_event(_LOG, "coordinator.started", host=host, port=door.port,
-              store=store_dir)
-    recovered = service.recovery
-    if recovered["replayed"]:
-        echo(f"recovered {recovered['replayed']} journaled job(s): "
-             f"{recovered['recovered_done']} already done, "
-             f"{recovered['requeued']} re-queued, "
-             f"{recovered['lost']} lost")
     stop = threading.Event()
+    if stats_interval:
+        def _stats_loop():
+            while not stop.wait(stats_interval):
+                snapshot = service.stats()
+                log_event(_LOG, "service.stats",
+                          queue_depth=snapshot["queue"]["depth"],
+                          jobs=snapshot["jobs"],
+                          cluster=snapshot["cluster"]["counters"],
+                          store_hits=snapshot["store"].get("hits"),
+                          store_misses=snapshot["store"].get("misses"))
+
+        threading.Thread(target=_stats_loop, name="stats-logger",
+                         daemon=True).start()
 
     def _signal(signum, frame):
         echo(f"signal {signum}: draining (leased jobs finish, queued "
@@ -486,10 +621,9 @@ def serve_coordinator(host: str, port: int, store_dir: str,
     for sig in (signal.SIGTERM, signal.SIGINT):
         try:
             signal.signal(sig, _signal)
-        except ValueError:
+        except ValueError:  # not the main thread
             pass
     stop.wait()
-    service.begin_drain()
     drained = service.drain(timeout_s=drain_timeout_s)
     door.stop()
     service.stop()

@@ -2,8 +2,8 @@
 
 An append-only log of job lifecycle records (``submitted`` / ``leased``
 / ``heartbeat`` / ``done`` / ``failed`` / ``dead_letter``) that a
-restarted :class:`~repro.service.server.SimulationService` replays to
-reconstruct its queue and re-dispatch orphaned work.  Design points:
+restarted :class:`~repro.service.cluster.coordinator.ClusterService`
+replays to reconstruct its queue and re-dispatch orphaned work.  Design points:
 
 * **One record per line** — a JSON object ``{"crc", "seq", "rec"}``
   where ``crc`` is the CRC-32 of the canonical serialisation of

@@ -37,8 +37,8 @@ flushed — therefore always has an identifiable casualty job.
   pooled sweep) can account for dispatched-but-unfinished work.
 
 All coordination happens in :meth:`tick`, which the blocking helpers
-(:meth:`wait`, :meth:`run_batch`) call in a loop and which an HTTP server
-can call from its own dispatcher thread.
+(:meth:`wait`, :meth:`run_batch`) call in a loop and which a service
+node calls from its own loop.
 """
 
 from __future__ import annotations
@@ -170,9 +170,9 @@ class SimulationPool:
         #: Span-event hook: ``on_event(job_id, event, **attrs)`` fires
         #: for lifecycle moments only the pool can see (``started``,
         #: ``simulated``, ``stored``, ``lease_expired``, ``redelivered``,
-        #: ``worker_died``, ``timeout``, ``store_hit``).  The service
-        #: installs a translator that appends them to its SpanLog; a
-        #: raising hook is swallowed — telemetry never breaks dispatch.
+        #: ``worker_died``, ``timeout``, ``store_hit``).  A service node
+        #: forwards them to the service's SpanLog; a raising hook is
+        #: swallowed — telemetry never breaks dispatch.
         self.on_event = None
         #: Directory of the shared cross-worker trace cache; riding under
         #: the result store's root keeps one content-addressed tree per
@@ -408,10 +408,6 @@ class SimulationPool:
         if job_id in self._pending:
             return "queued"
         return "unknown"
-
-    def attempts(self, job_id: int) -> int:
-        """Deliveries so far for one job (redelivery accounting)."""
-        return self._attempts.get(job_id, 0)
 
     def dead_letters(self) -> List[dict]:
         """Every dead-letter record resolved so far."""

@@ -1,8 +1,16 @@
-"""HTTP service: submit/poll/result lifecycle, validation, backpressure."""
+"""HTTP service: submit/poll/result lifecycle, validation, backpressure.
 
-import threading
+Every test runs against the ``repro serve`` shape: the service, its
+asyncio front door and one in-process node sharing the store.
+"""
+
+import json
+import socket
+import statistics
+import time
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 
 import pytest
 
@@ -12,26 +20,32 @@ from repro.service.client import (
     ServiceDrainingError,
     ServiceError,
 )
-from repro.service.server import create_server
+from repro.service.cluster.frontdoor import create_service
 
 N, WARMUP = 1200, 200
+
+
+@contextmanager
+def _serve(store_dir, max_queue):
+    """A started service with a one-worker in-process node."""
+    door, svc = create_service(store_dir=str(store_dir), workers=1,
+                               max_queue=max_queue)
+    svc.start()
+    door.start()
+    client = ServiceClient(door.url, timeout=30)
+    try:
+        yield client, svc
+    finally:
+        client.close()
+        door.stop()
+        svc.stop()
 
 
 @pytest.fixture(scope="module")
 def service(tmp_path_factory):
     store_dir = tmp_path_factory.mktemp("service-store")
-    httpd, svc = create_server(host="127.0.0.1", port=0, workers=1,
-                               store_dir=str(store_dir), max_queue=16)
-    thread = threading.Thread(target=httpd.serve_forever,
-                              kwargs={"poll_interval": 0.05}, daemon=True)
-    thread.start()
-    host, port = httpd.server_address
-    client = ServiceClient(f"http://{host}:{port}", timeout=30)
-    yield client
-    svc.stop()
-    httpd.shutdown()
-    httpd.server_close()
-    thread.join(timeout=5)
+    with _serve(store_dir, max_queue=16) as (client, _):
+        yield client
 
 
 def _job(core="ino", app="hmmer", **kw):
@@ -154,25 +168,67 @@ class TestValidation:
         assert exc.value.status == 404
 
 
+    @pytest.mark.parametrize("field", [{"priority": "high"},
+                                       {"retries": "twice"}])
+    def test_non_integer_priority_or_retries_is_400(self, service, field):
+        with pytest.raises(ServiceError) as exc:
+            service.submit(_job(**field))
+        assert exc.value.status == 400
+        assert list(field)[0] in str(exc.value)
+
+    @pytest.mark.parametrize("n, warmup", [(0, 0), (-5, 0), (N, -1),
+                                           (N, N), (N, N + 1)])
+    def test_bad_trace_lengths_are_400(self, service, n, warmup):
+        """n <= 0, warmup < 0 and warmup >= n never reach the queue."""
+        before = service.stats()["jobs"]
+        with pytest.raises(ServiceError) as exc:
+            service.submit(_job(n=n, warmup=warmup))
+        assert exc.value.status == 400
+        assert service.stats()["jobs"] == before
+
+    def test_negative_content_length_is_400(self, service):
+        port = int(service.base_url.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=10) as sock:
+            sock.sendall(b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: -1\r\n\r\n")
+            reply = b""
+            while b"\r\n\r\n" not in reply:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400"), reply
+        assert b"Connection: close" in head
+        assert "Content-Length" in json.loads(body)["error"]
+
+
+class TestKeepAliveLatency:
+    def test_healthz_median_under_20ms_on_one_connection(self, service):
+        """Each response leaves in one write, so a kept-alive client
+        never waits out a delayed ACK (~40 ms per request)."""
+        probe = ServiceClient(service.base_url, timeout=30)
+        try:
+            probe.health()
+            times = []
+            for _ in range(20):
+                start = time.perf_counter()
+                probe.health()
+                times.append(time.perf_counter() - start)
+            assert probe.connections_opened == 1
+        finally:
+            probe.close()
+        assert statistics.median(times) < 0.020, times
+
+
 class TestDrainScrubListing:
     @pytest.fixture()
     def own_service(self, tmp_path):
         """A private server: these tests mutate service-wide state
         (drain, scrub) that must not leak into the shared fixture."""
-        httpd, svc = create_server(host="127.0.0.1", port=0, workers=1,
-                                   store_dir=str(tmp_path / "store"),
-                                   max_queue=16)
-        thread = threading.Thread(target=httpd.serve_forever,
-                                  kwargs={"poll_interval": 0.05},
-                                  daemon=True)
-        thread.start()
-        host, port = httpd.server_address
-        client = ServiceClient(f"http://{host}:{port}", timeout=30)
-        yield client, svc
-        svc.stop()
-        httpd.shutdown()
-        httpd.server_close()
-        thread.join(timeout=5)
+        with _serve(tmp_path / "store", max_queue=16) as served:
+            yield served
 
     def test_drain_refuses_submissions_with_503(self, own_service):
         client, svc = own_service
@@ -215,18 +271,9 @@ class TestDrainScrubListing:
 class TestBackpressure:
     def test_queue_full_yields_429_with_retry_hint(self, tmp_path):
         """A queue of 1 behind slow jobs must answer 429, not buffer."""
-        httpd, svc = create_server(host="127.0.0.1", port=0, workers=1,
-                                   store_dir=str(tmp_path / "store"),
-                                   max_queue=1)
-        thread = threading.Thread(target=httpd.serve_forever,
-                                  kwargs={"poll_interval": 0.05},
-                                  daemon=True)
-        thread.start()
-        host, port = httpd.server_address
-        client = ServiceClient(f"http://{host}:{port}", timeout=30)
         apps = ["hmmer", "mcf", "milc", "gcc", "bwaves", "gobmk",
                 "sjeng", "astar"]
-        try:
+        with _serve(tmp_path / "store", max_queue=1) as (client, _):
             busy = None
             for app in apps:  # distinct apps: none is cache-served
                 try:
@@ -238,8 +285,3 @@ class TestBackpressure:
             assert busy.status == 429
             assert busy.retry_after_s > 0
             assert "queue full" in str(busy)
-        finally:
-            svc.stop()
-            httpd.shutdown()
-            httpd.server_close()
-            thread.join(timeout=5)

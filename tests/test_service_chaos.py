@@ -9,7 +9,9 @@ execution.  All randomness is seeded; reruns inject the same faults.
 """
 
 import dataclasses
+import shutil
 import time
+from pathlib import Path
 
 import pytest
 
@@ -17,9 +19,11 @@ from repro.common.params import make_casino_config, make_ino_config
 from repro.service.chaos import (
     ChaosFabric,
     assert_invariant,
+    fabric_digests,
     serial_digests,
 )
 from repro.service.jobs import JobSpec
+from repro.service.journal import Journal, fold_jobs
 from repro.service.store import ResultStore
 from repro.workloads.suite import SUITE
 
@@ -217,13 +221,12 @@ class TestClusterNodeSigkill:
         notice via missed heartbeats, reclaim the dead node's leases,
         redeliver to the survivor, and finish the batch with exactly one
         terminal state per job and serial-identical digests."""
-        from repro.service.chaos import ClusterChaosFabric
         specs = _specs(STANDARD_PAIRS)
         # Stalls keep leases in flight when the SIGKILL lands (the stall
         # hook is not part of the result key, so the oracle still maps).
         staggered = [dataclasses.replace(s, test_stall_s=1.0)
                      for s in specs]
-        fabric = ClusterChaosFabric(tmp_path, seed=808)
+        fabric = ChaosFabric(tmp_path, workers=0, seed=808)
         fabric.start()
         try:
             fabric.spawn_node()
@@ -249,11 +252,10 @@ class TestClusterNodeSigkill:
             self, tmp_path, oracle):
         """Kill the node while the queue is already empty (everything
         leased): redelivery must come purely from lease reclaim."""
-        from repro.service.chaos import ClusterChaosFabric
         specs = _specs(STANDARD_PAIRS[:2])
         stalled = [dataclasses.replace(s, test_stall_s=0.8)
                    for s in specs]
-        fabric = ClusterChaosFabric(tmp_path, seed=909)
+        fabric = ChaosFabric(tmp_path, workers=0, seed=909)
         fabric.start()
         try:
             fabric.spawn_node()
@@ -282,11 +284,10 @@ class TestClusterCoordinatorRestart:
         their own; journal recovery requeues open jobs; completions of
         pre-crash leases are accepted first-completion-wins.  Every job
         ends in exactly one terminal state with serial digests."""
-        from repro.service.chaos import ClusterChaosFabric
         specs = _specs(STANDARD_PAIRS)
         staggered = [dataclasses.replace(s, test_stall_s=0.4 * (i % 2))
                      for i, s in enumerate(specs)]
-        fabric = ClusterChaosFabric(tmp_path, seed=1010)
+        fabric = ChaosFabric(tmp_path, workers=0, seed=1010)
         fabric.start()
         try:
             fabric.spawn_node()
@@ -307,3 +308,43 @@ class TestClusterCoordinatorRestart:
         assert recovery["lost"] == 0
         assert all(e["status"] == "done" for e in entries.values())
         assert_invariant(entries, fabric.store, specs, oracle)
+
+
+class TestSingleNodeJournalReplay:
+    """``fixtures/single_node_journal`` was written by the single-process
+    server that ``repro serve`` ran before the service became one
+    coordinator with an in-process node.  It holds a done job, a cached
+    job, a failed (timed-out) job, a job leased when the process died and
+    a job still queued then; the store it belonged to is not kept."""
+
+    FIXTURE = Path(__file__).parent / "fixtures" / "single_node_journal"
+
+    def test_replays_into_the_one_service(self, tmp_path):
+        journal_dir = tmp_path / "store" / "journal"
+        shutil.copytree(self.FIXTURE, journal_dir)
+        folded = fold_jobs(Journal(journal_dir, sync="off").records())
+        assert {job: state["status"] for job, state in folded.items()} \
+            == {"job-1": "done", "job-2": "done", "job-3": "failed",
+                "job-4": "leased", "job-5": "submitted"}
+        open_specs = [JobSpec(**folded[job]["spec"])
+                      for job in ("job-4", "job-5")]
+        expected = serial_digests(open_specs)
+        fabric = ChaosFabric(tmp_path, workers=1, seed=1111)
+        fabric.start()
+        try:
+            recovery = dict(fabric.service.recovery)
+            entries = fabric.wait_all(timeout_s=300.0)
+        finally:
+            fabric.stop()
+        assert recovery == {"replayed": 5, "recovered_done": 2,
+                            "recovered_terminal": 1, "requeued": 2,
+                            "lost": 0}
+        assert entries["job-1"]["status"] == "done"
+        assert not entries["job-1"]["cached"]
+        assert entries["job-2"]["status"] == "done"
+        assert entries["job-2"]["cached"] is True
+        assert entries["job-3"]["status"] == "failed"
+        assert entries["job-3"]["error"] == "timed out after 1.5s"
+        for job in ("job-4", "job-5"):
+            assert entries[job]["status"] == "done"
+        assert fabric_digests(fabric.store, open_specs) == expected

@@ -30,7 +30,7 @@ from repro.service.cluster import (
     ClusterService,
     ReplicaStore,
 )
-from repro.service.cluster.frontdoor import create_coordinator
+from repro.service.cluster.frontdoor import create_service
 from repro.service.jobs import JobSpec
 from repro.service.store import ResultStore, encode_record
 from repro.workloads.suite import SUITE
@@ -79,7 +79,7 @@ class _ThreadNode:
 def cluster(tmp_path_factory):
     """Coordinator + front door + two single-worker nodes + client."""
     root = tmp_path_factory.mktemp("cluster")
-    door, service = create_coordinator(
+    door, service = create_service(
         store_dir=str(root / "coord"), max_queue=32,
         journal_sync="always", suspect_after_s=2.0, dead_after_s=60.0)
     service.start()
@@ -247,7 +247,7 @@ class TestKeepAlive:
 
 class TestBackpressure:
     def test_queue_full_gives_429_and_drain_gives_503(self, tmp_path):
-        door, service = create_coordinator(
+        door, service = create_service(
             store_dir=str(tmp_path / "bp"), max_queue=2,
             journal_sync="none")
         service.start()
