@@ -153,7 +153,7 @@ def _cmd_compare(args) -> int:
     from repro.obs.accounting import format_stack_table
     runner = Runner(n_instrs=args.n, warmup=args.warmup,
                     sanitize=True if args.sanitize else None,
-                    accounting=True, sample_interval=args.interval)
+                    accounting=True)
     profile = get_profile(args.app)
     rows = []
     base = None
@@ -175,19 +175,20 @@ def _cmd_compare(args) -> int:
         results[name]["speedup"] = res.ipc / base.ipc
         if res.accounting:
             reports[name] = results[name]["accounting"] = res.accounting
-        if res.stalls is not None:
-            stalls[name] = results[name]["stalls"] = res.stalls
+        # Post-warmup, like the IPC column and the CPI stack.
+        stalls[name] = results[name]["stalls"] = {
+            k: v for k, v in res.stats.counters.items() if "stall" in k}
     print(f"{args.app} ({profile.n_instrs} instrs)")
     print(format_table(["core", "IPC", "speedup", "energy (rel)"], rows))
     if reports:
         headers, stack_rows = format_stack_table(reports)
         print("\nCPI stack (cycles per committed instruction):")
         print(format_table(headers, stack_rows, float_fmt="{:.3f}"))
-    if stalls:
-        keys = sorted({k for per_core in stalls.values() for k in per_core})
+    keys = sorted({k for per_core in stalls.values() for k in per_core})
+    if keys:
         stall_rows = [[name] + [int(stalls[name].get(k, 0)) for k in keys]
                       for name in stalls]
-        print("\nsampled stall counters:")
+        print("\nstall counters (after warmup):")
         print(format_table(["core"] + keys, stall_rows))
     if args.json:
         from repro.harness.export import write_json
@@ -596,8 +597,6 @@ def main(argv=None) -> int:
                        help="check microarchitectural invariants every cycle")
     cmp_p.add_argument("--json", metavar="PATH", default=None,
                        help="also write per-core stats + provenance as JSON")
-    cmp_p.add_argument("--interval", type=int, default=200,
-                       help="stall-counter sampling interval in cycles")
 
     exp_p = sub.add_parser(
         "explain", help="cycle accounting: CPI stack, critical path, "

@@ -103,38 +103,16 @@ class ResilientRunner(Runner):
                  mem_cfg: Optional[MemoryConfig] = None,
                  sanitize: Optional[bool] = None, retries: int = 1,
                  fault_hook=None, accounting: bool = False,
-                 sample_interval: Optional[int] = None,
                  trace_cache_entries: Optional[int] = None,
                  trace_store=None) -> None:
         super().__init__(n_instrs=n_instrs, warmup=warmup, mem_cfg=mem_cfg,
                          sanitize=sanitize, accounting=accounting,
-                         sample_interval=sample_interval,
                          trace_cache_entries=trace_cache_entries,
                          trace_store=trace_store)
         self.retries = retries
-        #: ``fault_hook(cfg, profile) -> Optional[FaultInjector]`` lets
-        #: tests (and chaos runs) perturb specific (core, app) pairs.
         self.fault_hook = fault_hook
         self.failures: List[FailureRecord] = []
         self.excluded: Set[str] = set()
-
-    # -- simulation with capture -------------------------------------------------
-
-    def _simulate(self, cfg: CoreConfig,
-                  profile: WorkloadProfile) -> RunResult:
-        from repro.cores import build_core
-        core = build_core(cfg, self.mem_cfg)
-        faults = self.fault_hook(cfg, profile) if self.fault_hook else None
-        acct, sampler = self._observers()
-        stats = core.run(self.trace(profile), warmup=self.warmup,
-                         sanitize=self.sanitize, faults=faults,
-                         accounting=acct, sampler=sampler)
-        report = build_power_model(cfg).energy(stats)
-        return RunResult(core=cfg, app=profile.name, stats=stats,
-                         energy=report,
-                         accounting=acct.report() if acct else None,
-                         stalls=(sampler.stall_breakdown()
-                                 if sampler else None))
 
     def run(self, cfg: CoreConfig, profile: WorkloadProfile) -> RunResult:
         key = self._result_key(cfg, profile)
@@ -155,10 +133,7 @@ class ResilientRunner(Runner):
                 continue
             # Re-badge under the original app name so figure aggregation
             # keys stay stable, and memoise under the original profile.
-            result = RunResult(core=cfg, app=profile.name,
-                               stats=retried.stats, energy=retried.energy,
-                               accounting=retried.accounting,
-                               stalls=retried.stalls)
+            result = dataclasses.replace(retried, app=profile.name)
             self._results[key] = result
             return result
         self.excluded.add(profile.name)

@@ -37,9 +37,6 @@ class RunResult:
     #: CPI-stack report (``CycleAccounting.report()``) when the runner was
     #: built with ``accounting=True``; ``None`` otherwise.
     accounting: Optional[dict] = None
-    #: Per-reason stall counters (``MetricsSampler.stall_breakdown()``)
-    #: when the runner samples; ``None`` otherwise.
-    stalls: Optional[Dict[str, float]] = None
     #: Fast-forward telemetry from the event-driven quiescence skipper:
     #: spans jumped and cycles elided.  Observability only — the timed
     #: counters are bit-identical with skipping on or off.
@@ -71,11 +68,14 @@ class Runner:
     #: 25-app suite plus seed variants within one figure.
     DEFAULT_TRACE_CACHE_ENTRIES = 64
 
+    #: ``fault_hook(cfg, profile) -> Optional[FaultInjector]`` lets tests
+    #: (and chaos runs) perturb specific (core, app) pairs.
+    fault_hook = None
+
     def __init__(self, n_instrs: int = 24_000, warmup: int = 6_000,
                  mem_cfg: Optional[MemoryConfig] = None,
                  sanitize: Optional[bool] = None,
                  accounting: bool = False,
-                 sample_interval: Optional[int] = None,
                  trace_cache_entries: Optional[int] = None,
                  trace_store=None) -> None:
         self.n_instrs = n_instrs
@@ -86,9 +86,6 @@ class Runner:
         #: its CPI-stack report on the RunResult.  Observers are read-only,
         #: so cached results stay valid either way.
         self.accounting = accounting
-        #: When set, attach a MetricsSampler with this interval and carry
-        #: its stall breakdown on the RunResult.
-        self.sample_interval = sample_interval
         #: LRU bound on the per-profile trace cache (None/0 = unbounded).
         self.trace_cache_entries = (self.DEFAULT_TRACE_CACHE_ENTRIES
                                     if trace_cache_entries is None
@@ -107,15 +104,6 @@ class Runner:
         self.trace_store = trace_store
         self._traces: "OrderedDict[str, list]" = OrderedDict()
         self._results: Dict[tuple, RunResult] = {}
-
-    def _observers(self):
-        """Fresh (accounting, sampler) observers per the runner config."""
-        from repro.obs.accounting import CycleAccounting
-        from repro.obs.metrics import MetricsSampler
-        acct = CycleAccounting() if self.accounting else None
-        sampler = (MetricsSampler(self.sample_interval)
-                   if self.sample_interval else None)
-        return acct, sampler
 
     def trace(self, profile: WorkloadProfile) -> list:
         """The (LRU-cached) dynamic trace for a workload profile."""
@@ -148,19 +136,20 @@ class Runner:
                 profile.seed, self.n_instrs, self.warmup)
 
     def _simulate(self, cfg: CoreConfig, profile: WorkloadProfile) -> RunResult:
-        """Uncached single simulation (the seam the resilience layer and
-        tests override to inject faults)."""
+        """Uncached single simulation, with :attr:`fault_hook`'s faults."""
         core = build_core(cfg, self.mem_cfg)
-        acct, sampler = self._observers()
+        faults = self.fault_hook(cfg, profile) if self.fault_hook else None
+        acct = None
+        if self.accounting:
+            from repro.obs.accounting import CycleAccounting
+            acct = CycleAccounting()
         stats = core.run(self.trace(profile), warmup=self.warmup,
-                         sanitize=self.sanitize, accounting=acct,
-                         sampler=sampler)
+                         sanitize=self.sanitize, faults=faults,
+                         accounting=acct)
         report = build_power_model(cfg).energy(stats)
         return RunResult(core=cfg, app=profile.name, stats=stats,
                          energy=report,
                          accounting=acct.report() if acct else None,
-                         stalls=(sampler.stall_breakdown()
-                                 if sampler else None),
                          ff_spans=core.ff_spans,
                          ff_skipped_cycles=core.ff_skipped_cycles)
 

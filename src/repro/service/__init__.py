@@ -10,8 +10,10 @@ serving stack:
 * :mod:`repro.service.jobs` — picklable job specs, the worker-side
   execute function and the deterministic result-record schema.
 * :mod:`repro.service.pool` — worker pool fanning (core, app, config)
-  jobs across CPUs with timeouts, cancellation and graceful degradation
+  jobs across CPUs with timeouts, redelivery and graceful degradation
   to serial execution when workers die.
+* :mod:`repro.service.leases` — the one lease policy (liveness
+  escalation + redelivery verdict) of pool workers and cluster nodes.
 * :mod:`repro.service.runner` — a ``ResilientRunner`` that transparently
   routes simulations through the pool + store (used by the sweep driver).
 * :mod:`repro.service.cluster` — the HTTP JSON service: coordinator,

@@ -306,7 +306,7 @@ class ChaosFabric:
         pool = self.service.pool
         # The node thread mutates both dicts: iterate over copies.
         workers = dict(pool._workers)
-        busy = sorted(pid for pid in list(pool._assigned)
+        busy = sorted(pid for pid in list(pool._leased)
                       if pid in workers and workers[pid].is_alive())
         victims = busy or sorted(pid for pid, proc in workers.items()
                                  if proc.is_alive())

@@ -14,13 +14,14 @@ Design points:
 
 * **Node roster + heartbeats** — nodes register with a capacity and
   heartbeat periodically; any authenticated-by-id message (heartbeat,
-  lease, completion) renews liveness.  A silent node is marked
-  ``suspect`` after ``suspect_after_s`` (visible in ``/healthz`` and
-  ``/stats`` before anything is reclaimed), then ``dead`` after
-  ``dead_after_s``, at which point its leases are reclaimed and the
-  jobs redelivered to surviving nodes — within the same bounded
-  redelivery budget the pool uses, so a poison job dead-letters instead
-  of hopping the fleet forever.
+  lease, completion) renews liveness.  The roster is a
+  :class:`~repro.service.leases.LivenessTable`, the same lease policy
+  the pool runs for its workers: a silent node is ``suspect`` after
+  ``suspect_after_s`` (visible in ``/healthz`` and ``/stats`` before
+  anything is reclaimed), then ``dead`` after ``dead_after_s``, at which
+  point its leases are reclaimed and the jobs redelivered to surviving
+  nodes — within the pool's bounded redelivery budget, so a poison job
+  dead-letters instead of hopping the fleet forever.
 * **Journal-backed redelivery** — every state transition is journaled
   before it is acknowledged (``leased`` records carry the node id), so
   after a crash terminal jobs keep their state, store-hit jobs complete
@@ -54,13 +55,12 @@ from repro.obs.telemetry import (MetricsRegistry, SpanLog, fold_spans,
                                  new_trace_id, render_prometheus)
 from repro.service.journal import TERMINAL_STATES, Journal, fold_jobs
 from repro.service.jobs import JobSpec
+from repro.service.leases import (DEAD, STATES, SUSPECT, LivenessTable,
+                                  redelivery_verdict)
 from repro.service.store import (ResultStore, trace_key,
                                  trace_wire_record)
 
 _LOG = get_logger("service.cluster")
-
-#: Node liveness states, in escalation order.
-NODE_STATES = ("alive", "suspect", "dead")
 
 #: Priority used when a submission does not specify one.
 DEFAULT_PRIORITY = 100
@@ -97,8 +97,10 @@ class ClusterService:
         self.store = store
         self.max_queue = max_queue
         self.journal = journal
-        self.suspect_after_s = suspect_after_s
-        self.dead_after_s = max(dead_after_s, suspect_after_s)
+        #: node id -> roster entry (liveness plus capacity, lease set,
+        #: telemetry).
+        self._liveness = LivenessTable(suspect_after_s, dead_after_s)
+        self._nodes = self._liveness.entries
         self.max_redeliveries = max(0, max_redeliveries)
         self.telemetry: Optional[MetricsRegistry] = \
             MetricsRegistry() if telemetry else None
@@ -120,9 +122,10 @@ class ClusterService:
                 "repro_job_run_seconds",
                 "Seconds between node lease and terminal state")
         self._lock = threading.RLock()
-        #: Notified (lock held) whenever work becomes leasable; an idle
-        #: in-process node parks on it inside :meth:`try_lease`.
+        #: Notified (lock held) whenever work becomes leasable, and on
+        #: drain and stop; idle nodes park on it inside :meth:`try_lease`.
         self._work = threading.Condition(self._lock)
+        self._stopped = False
         self._jobs: Dict[str, dict] = {}
         self._seq = 0
         #: (priority, seq, job_id) min-heap; resolved entries are skipped
@@ -133,8 +136,6 @@ class ClusterService:
         self._inflight_keys: Dict[str, str] = {}
         #: primary job id -> job ids riding on its outcome.
         self._attached: Dict[str, List[str]] = {}
-        #: node id -> roster entry (state, liveness, lease set, telemetry).
-        self._nodes: Dict[str, dict] = {}
         self._draining = False
         self.counters: Dict[str, int] = {
             "submitted": 0, "cached": 0, "coalesced": 0, "dispatched": 0,
@@ -148,11 +149,9 @@ class ClusterService:
         }
         self.scrub_report: Optional[dict] = None
         #: Front-door hooks (fired OUTSIDE the lock): a job turned
-        #: terminal (wake its long-pollers) / work became leasable
-        #: (wake parked lease requests) / a node changed state
-        #: (roster line on stdout).  All optional, all non-throwing.
+        #: terminal (wake its long-pollers) / a node changed state
+        #: (roster line on stdout).  Both optional, both non-throwing.
         self.on_terminal: Optional[Callable[[str], None]] = None
-        self.on_enqueued: Optional[Callable[[], None]] = None
         self.on_node_event: Optional[Callable[[str, str], None]] = None
         #: The in-process node (``repro serve``), attached by its
         #: constructor; started and stopped with the service.
@@ -167,6 +166,9 @@ class ClusterService:
             self.local_node.start()
 
     def stop(self) -> None:
+        with self._lock:
+            self._stopped = True
+            self._work.notify_all()  # parked leases return at once
         if self.local_node is not None:
             self.local_node.stop()
             self.local_node.close()
@@ -185,7 +187,9 @@ class ClusterService:
     def begin_drain(self) -> None:
         if self._draining:
             return
-        self._draining = True
+        with self._lock:
+            self._draining = True
+            self._work.notify_all()  # parked leases return at once
         self._journal_append("drain")
 
     def drain(self, timeout_s: Optional[float] = 30.0) -> bool:
@@ -438,13 +442,7 @@ class ClusterService:
             self._span(job_id, "journaled")
             self._push_queue(priority, job_id)
             self._work.notify_all()
-            public = self._public(entry)
-        if self.on_enqueued is not None:
-            try:
-                self.on_enqueued()
-            except Exception:
-                pass
-        return public
+            return self._public(entry)
 
     # -- node side: registration, heartbeats, leases, completions --------------
 
@@ -454,18 +452,14 @@ class ClusterService:
         (after a coordinator restart or its own) starts with a clean
         lease set — any jobs its previous incarnation held were either
         reclaimed or will resolve via first-completion-wins."""
-        now = time.monotonic()
         with self._lock:
             fresh = node_id not in self._nodes \
-                or self._nodes[node_id]["state"] == "dead"
-            self._nodes[node_id] = {
-                "id": node_id, "state": "alive",
-                "capacity": max(1, int(capacity)),
-                "registered_at": round(time.time(), 6),
-                "last_hb": now,
-                "leased": set(), "completed": 0, "telemetry": None,
-                "meta": dict(meta or {}),
-            }
+                or self._nodes[node_id]["state"] == DEAD
+            self._liveness.add(
+                node_id, id=node_id, capacity=max(1, int(capacity)),
+                registered_at=round(time.time(), 6),
+                leased=set(), completed=0, telemetry=None,
+                meta=dict(meta or {}))
             if fresh:
                 self.counters["nodes_registered"] += 1
         self._journal_append("node", node=node_id, event="registered",
@@ -473,19 +467,19 @@ class ClusterService:
         log_event(_LOG, "cluster.node_registered", node=node_id,
                   capacity=capacity)
         self._fire_node_event(node_id, "registered")
-        return {"node": node_id, "suspect_after_s": self.suspect_after_s,
-                "dead_after_s": self.dead_after_s}
+        return {"node": node_id,
+                "suspect_after_s": self._liveness.suspect_after_s,
+                "dead_after_s": self._liveness.dead_after_s}
 
     def _touch_node(self, node_id: str,
                     telemetry: Optional[dict] = None) -> dict:
         """Renew liveness for any authenticated node message (lock held).
         Raises :class:`UnknownNodeError` for unregistered/dead nodes."""
-        node = self._nodes.get(node_id)
-        if node is None or node["state"] == "dead":
+        previous = self._liveness.touch(node_id)
+        if previous in (None, DEAD):
             raise UnknownNodeError(f"unknown node {node_id!r}; re-register")
-        node["last_hb"] = time.monotonic()
-        if node["state"] == "suspect":
-            node["state"] = "alive"
+        node = self._nodes[node_id]
+        if previous == SUSPECT:
             self._fire_node_event(node_id, "recovered")
         if telemetry is not None:
             node["telemetry"] = telemetry
@@ -506,14 +500,15 @@ class ClusterService:
 
         Returns wire-ready job dicts (id, key, spec, priority, attempt).
         Leasing renews the node's liveness; every lease is journaled
-        with the node id before the jobs leave the building.  The front
-        door parks remote nodes itself and always passes ``wait_s=0``."""
+        with the node id before the jobs leave the building.  A parked
+        request returns at once on drain or stop."""
         deadline = time.monotonic() + wait_s
         with self._lock:
             while True:
                 leases = self._lease_locked(node_id, max_jobs)
                 remaining = deadline - time.monotonic()
-                if leases or self._draining or remaining <= 0:
+                if leases or self._draining or self._stopped \
+                        or remaining <= 0:
                     return leases
                 self._work.wait(remaining)
 
@@ -568,7 +563,7 @@ class ClusterService:
         terminal_jobs: List[str] = []
         with self._lock:
             node = self._nodes.get(node_id)
-            if node is not None and node["state"] != "dead":
+            if node is not None and node["state"] != DEAD:
                 self._touch_node(node_id, telemetry)
             elif node is not None and telemetry is not None:
                 node["telemetry"] = telemetry
@@ -627,6 +622,10 @@ class ClusterService:
                  node_stored: bool = False) -> None:
         """Move one registry entry to a terminal state (lock held)."""
         job_id = entry["id"]
+        if entry["status"] == "queued" and "coalesced_into" not in entry:
+            # A requeued job finished late: its heap entry is now a
+            # tombstone and must stop counting toward the depth.
+            self._queued -= 1
         entry["status"] = status
         entry.pop("node", None)
         key = entry.get("key")
@@ -667,62 +666,38 @@ class ClusterService:
         """One liveness sweep: escalate silent nodes alive -> suspect ->
         dead, reclaiming a dead node's leases into the queue (bounded
         redelivery budget; beyond it the job dead-letters)."""
-        now = time.monotonic() if now is None else now
         terminal_jobs: List[str] = []
-        notify_enqueued = False
-        events: List[tuple] = []
         with self._lock:
-            for node_id, node in self._nodes.items():
-                if node["state"] == "dead":
-                    continue
-                age = now - node["last_hb"]
-                if age > self.dead_after_s:
-                    node["state"] = "dead"
+            moved = self._liveness.sweep(now)
+            for node_id, state, silent in moved:
+                node = self._nodes[node_id]
+                self._journal_append("node", node=node_id, event=state,
+                                     ts=round(time.time(), 6))
+                log_event(_LOG, "cluster.node_state", node=node_id,
+                          state=state, silent_s=round(silent, 3),
+                          leases=len(node["leased"]))
+                if state == DEAD:
                     self.counters["node_deaths"] += 1
-                    self._journal_append("node", node=node_id, event="dead",
-                                         ts=round(time.time(), 6))
-                    log_event(_LOG, "cluster.node_died", node=node_id,
-                              silent_s=round(age, 3),
-                              leases=len(node["leased"]))
-                    events.append((node_id, "dead"))
-                    requeued, newly_terminal = \
-                        self._reclaim_leases(node, node_id)
-                    notify_enqueued |= requeued
-                    terminal_jobs.extend(newly_terminal)
-                elif age > self.suspect_after_s \
-                        and node["state"] == "alive":
-                    node["state"] = "suspect"
-                    self._journal_append("node", node=node_id,
-                                         event="suspect",
-                                         ts=round(time.time(), 6))
-                    log_event(_LOG, "cluster.node_suspect", node=node_id,
-                              silent_s=round(age, 3))
-                    events.append((node_id, "suspect"))
-            if notify_enqueued:
-                self._work.notify_all()
-        for node_id, event in events:
-            self._fire_node_event(node_id, event)
-        if notify_enqueued and self.on_enqueued is not None:
-            try:
-                self.on_enqueued()
-            except Exception:
-                pass
+                    terminal_jobs.extend(self._reclaim_leases(node, node_id))
+        for node_id, state, _ in moved:
+            self._fire_node_event(node_id, state)
         self._fire_terminal(terminal_jobs)
 
-    def _reclaim_leases(self, node: dict, node_id: str):
+    def _reclaim_leases(self, node: dict, node_id: str) -> List[str]:
         """Redeliver or dead-letter every job a dead node held (lock
-        held).  Returns (any_requeued, [jobs turned terminal])."""
-        requeued = False
+        held); returns the jobs that turned terminal."""
         terminal: List[str] = []
+        cause = f"node {node_id} died"
         for job_id in sorted(node["leased"]):
             entry = self._jobs.get(job_id)
             if entry is None or entry["status"] != "running" \
                     or entry.get("node") != node_id:
                 continue
             now = round(time.time(), 6)
-            if entry.get("attempts", 0) > self.max_redeliveries:
-                error = (f"dead-lettered after {entry['attempts']} "
-                         f"deliveries (last: node {node_id} died)")
+            attempts = entry.get("attempts", 0)
+            error = redelivery_verdict(attempts, self.max_redeliveries,
+                                       cause)
+            if error is not None:
                 self._resolve(entry, "dead_letter", {"error": error},
                               now, node_id)
                 terminal.append(job_id)
@@ -731,12 +706,11 @@ class ClusterService:
             entry.pop("node", None)
             self.counters["redeliveries"] += 1
             self._span(job_id, "redelivered", ts=now, durable=True,
-                       cause=f"node {node_id} died",
-                       attempt=entry.get("attempts", 0))
+                       cause=cause, attempt=attempts)
             self._push_queue(entry["priority"], job_id)
-            requeued = True
+            self._work.notify_all()
         node["leased"].clear()
-        return requeued, terminal
+        return terminal
 
     # -- hook plumbing ---------------------------------------------------------
 
@@ -875,7 +849,7 @@ class ClusterService:
             queued = self._queued
             running = sum(1 for e in self._jobs.values()
                           if e["status"] == "running")
-            by_state: Dict[str, int] = {s: 0 for s in NODE_STATES}
+            by_state: Dict[str, int] = {s: 0 for s in STATES}
             for node in self._nodes.values():
                 by_state[node["state"]] += 1
         t.gauge("repro_queue_depth",

@@ -30,10 +30,11 @@ Client-facing routes
 
 Node-facing routes (``POST /cluster/register|heartbeat|lease|complete``)
 carry the pull protocol of ``--role node`` processes; ``lease``
-long-polls on a global work event so idle nodes learn of new work in
-one round-trip without hammering the queue.  A liveness tick runs as a
-loop task, escalating silent nodes alive -> suspect -> dead (lease
-reclaim + redelivery).
+long-polls off the event loop, parked inside the service's
+``try_lease`` exactly like the in-process node, so idle nodes learn of
+new work in one round-trip without hammering the queue.  A liveness
+tick runs as a loop task, escalating silent nodes alive -> suspect ->
+dead (lease reclaim + redelivery).
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ _LOG = get_logger("service.cluster.frontdoor")
 
 #: Upper bound on any single long-poll park (client or node side).
 LONG_POLL_CAP_S = 30.0
-#: Lost-wakeup fallback: parked lease waits re-check at least this often.
-POLL_SLICE_S = 0.25
 #: Hint sent with 429 (queue full) and 503 (draining) responses.
 RETRY_AFTER_S = 2
 
@@ -160,9 +159,7 @@ class ClusterFrontDoor:
         self._start_error: Optional[BaseException] = None
         #: job id -> event set when that job turns terminal (loop thread).
         self._job_events = {}
-        self._work_event: Optional[asyncio.Event] = None
         service.on_terminal = self._notify_terminal
-        service.on_enqueued = self._notify_enqueued
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -205,7 +202,6 @@ class ClusterFrontDoor:
             return
         self._server = server
         self.port = server.sockets[0].getsockname()[1]
-        self._work_event = asyncio.Event()
         self._tick_task = loop.create_task(self._tick_forever())
         self._started.set()
         try:
@@ -237,15 +233,6 @@ class ClusterFrontDoor:
         event = self._job_events.pop(job_id, None)
         if event is not None:
             event.set()
-
-    def _notify_enqueued(self) -> None:
-        loop = self._loop
-        if loop is not None and loop.is_running():
-            loop.call_soon_threadsafe(self._set_work_event)
-
-    def _set_work_event(self) -> None:
-        if self._work_event is not None:
-            self._work_event.set()
 
     # -- HTTP plumbing ---------------------------------------------------------
 
@@ -462,9 +449,10 @@ class ClusterFrontDoor:
                 return 200, ack, {}, None
             if path == "/cluster/lease":
                 max_jobs = int(message.get("max_jobs", 1))
-                wait_s = float(message.get("wait_s", 0.0))
-                jobs = await self._lease_long_poll(node_id, max_jobs,
-                                                   wait_s)
+                wait_s = min(float(message.get("wait_s", 0.0)),
+                             LONG_POLL_CAP_S)
+                jobs = await asyncio.to_thread(service.try_lease, node_id,
+                                               max_jobs, wait_s)
                 return 200, {"jobs": jobs,
                              "draining": service.draining}, {}, None
             if path == "/cluster/complete":
@@ -478,29 +466,6 @@ class ClusterFrontDoor:
         except UnknownNodeError as exc:
             return 409, {"error": str(exc)}, {}, None
         return 404, {"error": "unknown endpoint"}, {}, None
-
-    async def _lease_long_poll(self, node_id: str, max_jobs: int,
-                               wait_s: float) -> list:
-        """Lease now, or park on the work event until something queues
-        (bounded slices guard against lost wakeups)."""
-        jobs = self.service.try_lease(node_id, max_jobs)
-        if jobs or wait_s <= 0:
-            return jobs
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + min(wait_s, LONG_POLL_CAP_S)
-        while not jobs:
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                break
-            self._work_event.clear()
-            try:
-                await asyncio.wait_for(self._work_event.wait(),
-                                       timeout=min(remaining,
-                                                   POLL_SLICE_S))
-            except asyncio.TimeoutError:
-                pass
-            jobs = self.service.try_lease(node_id, max_jobs)
-        return jobs
 
 
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",

@@ -292,11 +292,8 @@ class ClusterNode:
         })
 
     def _finish(self, pool_id: int) -> None:
-        job = self._inflight.pop(pool_id)
-        record = self.pool.record(pool_id)
-        if record is None:  # cancelled mid-drain; coordinator redelivers
-            return
-        self._queue_completion(job, record)
+        self._queue_completion(self._inflight.pop(pool_id),
+                               self.pool.record(pool_id))
 
     def _flush_outbox(self) -> None:
         while self._outbox:

@@ -208,7 +208,7 @@ def record_to_result(record: dict, spec: JobSpec) -> RunResult:
 
 def failure_record(spec: JobSpec, error: str, status: str = "error") -> dict:
     """Placeholder record for a job the pool could not complete (worker
-    death, timeout, cancellation).  Never written to the store."""
+    death, timeout, dead-letter).  Never written to the store."""
     return {"schema": RECORD_SCHEMA, "core": spec.core.get("name"),
             "app": spec.profile.get("name"), "failed": True,
             "error": error, "status": status,

@@ -11,26 +11,25 @@ flushed — therefore always has an identifiable casualty job.
 * **Store integration** — a submitted job whose key is already in the
   result store completes instantly without touching a worker; freshly
   computed records are written back atomically.
-* **Leases + heartbeats** — every assignment is a time-bounded lease
-  (``lease_s``), renewed by heartbeat messages a worker thread sends
-  every ``heartbeat_s`` while executing.  An expired lease escalates:
-  first a *poll* (one grace interval for a late heartbeat — a hung
-  worker is not the same thing as a dead worker), then the worker is
-  terminated and a replacement spawns.
+* **Leases + heartbeats** — every assignment is a lease in a
+  :class:`~repro.service.leases.LivenessTable` keyed by worker pid,
+  renewed by heartbeat messages a worker thread sends every
+  ``heartbeat_s`` while executing.  A silent worker is suspect after
+  ``lease_s`` (a hung worker is not the same thing as a dead worker)
+  and dead one heartbeat interval later: it is killed and a
+  replacement spawns.
 * **Bounded redelivery + dead-letter** — a job whose worker dies or
   whose lease is reclaimed goes back to the front of the backlog and is
   redelivered to a fresh worker, at most ``max_redeliveries`` times;
   beyond that it is a poison job and resolves to a ``dead_letter``
   record instead of taking more of the fleet down with it.
 * **Per-job timeouts** — a job running past ``timeout`` seconds gets its
-  worker terminated and is reported failed (``status: "timeout"``); too
+  worker killed and is reported failed (``status: "timeout"``); too
   slow is a property of the job, not the worker, so it is not
   redelivered.
 * **Degradation** — once ``max_worker_deaths`` total deaths accumulate
   the pool stops respawning and runs everything remaining serially in
   the parent.
-* **Cancellation** — :meth:`cancel_pending` flushes every job still in
-  the parent's backlog (i.e. not yet handed to a worker).
 * **Journal hook** — given a :class:`~repro.service.journal.Journal`,
   the pool writes ``submitted`` / ``leased`` / ``done`` / ``failed`` /
   ``dead_letter`` records through it, so a crashed batch driver (e.g. a
@@ -48,11 +47,12 @@ import os
 import queue as queue_mod
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs.telemetry import get_logger, log_event
 from repro.service import jobs as jobs_mod
 from repro.service.jobs import JobSpec, execute_job, failure_record
+from repro.service.leases import DEAD, LivenessTable, redelivery_verdict
 from repro.service.store import ResultStore
 
 _POISON = None
@@ -152,8 +152,7 @@ class SimulationPool:
                  lease_s: float = 30.0,
                  heartbeat_s: Optional[float] = None,
                  journal=None,
-                 telemetry: bool = False,
-                 mp_context: Optional[str] = None) -> None:
+                 telemetry: bool = False) -> None:
         self.n_workers = max(1, n_workers if n_workers is not None
                              else (os.cpu_count() or 1))
         self.store = store
@@ -179,21 +178,18 @@ class SimulationPool:
         #: service.  No store -> no sharing (workers regenerate locally).
         self._trace_dir = (str(store.root / "traces")
                            if store is not None else None)
-        self._ctx = multiprocessing.get_context(mp_context)
         self._result_q = None
         self._workers: Dict[int, multiprocessing.Process] = {}
         #: pid -> that worker's private job queue (one job in flight max).
         self._worker_qs: Dict[int, object] = {}
-        #: pid -> (job_id, assignment time) while a job is in flight.
-        self._assigned: Dict[int, Tuple[int, float]] = {}
-        #: pid -> monotonic deadline by which a heartbeat must arrive.
-        self._lease_deadline: Dict[int, float] = {}
-        #: pid -> end of the post-expiry grace poll (hung != dead).
-        self._suspect: Dict[int, float] = {}
+        #: Worker liveness, one entry per pid only while that worker
+        #: holds a job; ``_leased`` is its pid -> lease (``job``,
+        #: assignment time ``started``) dict.
+        self._leases = LivenessTable(lease_s, lease_s + self.heartbeat_s)
+        self._leased = self._leases.entries
         self._started = False
         self._closed = False
         self._degraded = False
-        self._cancelling = False
         self._seq = 0
         #: job ids submitted but not yet handed to a worker, FIFO.
         self._backlog: List[int] = []
@@ -213,7 +209,7 @@ class SimulationPool:
         self.stats: Dict[str, int] = {
             "submitted": 0, "cached": 0, "dispatched": 0, "completed": 0,
             "failed": 0, "timeouts": 0, "worker_deaths": 0,
-            "serial_fallbacks": 0, "cancelled": 0,
+            "serial_fallbacks": 0,
             "heartbeats": 0, "lease_expired": 0, "redeliveries": 0,
             "dead_lettered": 0,
         }
@@ -223,14 +219,14 @@ class SimulationPool:
     def start(self) -> None:
         if self._started:
             return
-        self._result_q = self._ctx.Queue()
+        self._result_q = multiprocessing.Queue()
         for _ in range(self.n_workers):
             self._spawn_worker()
         self._started = True
 
     def _spawn_worker(self) -> None:
-        job_q = self._ctx.Queue()
-        proc = self._ctx.Process(target=_worker_main,
+        job_q = multiprocessing.Queue()
+        proc = multiprocessing.Process(target=_worker_main,
                                  args=(job_q, self._result_q,
                                        self._trace_dir, self.heartbeat_s,
                                        self.telemetry),
@@ -256,7 +252,7 @@ class SimulationPool:
             for proc in self._workers.values():
                 proc.join(timeout=max(0.0, deadline - time.monotonic()))
                 if proc.is_alive():
-                    proc.terminate()
+                    proc.kill()  # SIGTERM stays pending on a stopped one
                     proc.join(timeout=1.0)
             self._drain_messages()
             for q in [self._result_q] + list(self._worker_qs.values()):
@@ -264,9 +260,7 @@ class SimulationPool:
                 q.cancel_join_thread()
         self._workers.clear()
         self._worker_qs.clear()
-        self._assigned.clear()
-        self._lease_deadline.clear()
-        self._suspect.clear()
+        self._leased.clear()
 
     def kill(self) -> None:
         """Chaos hook: SIGKILL-equivalent teardown.
@@ -278,10 +272,7 @@ class SimulationPool:
         """
         self._closed = True
         for proc in self._workers.values():
-            try:
-                proc.kill()
-            except (AttributeError, OSError):
-                proc.terminate()
+            proc.kill()
         for proc in self._workers.values():
             proc.join(timeout=2.0)
         if self._started:
@@ -293,9 +284,7 @@ class SimulationPool:
                     pass
         self._workers.clear()
         self._worker_qs.clear()
-        self._assigned.clear()
-        self._lease_deadline.clear()
-        self._suspect.clear()
+        self._leased.clear()
 
     def __enter__(self) -> "SimulationPool":
         self.start()
@@ -376,18 +365,10 @@ class SimulationPool:
             self._run_serial(job_id, spec)
             return job_id
         self.start()
-        self._cancelling = False
         self._backlog.append(job_id)
         self._maybe_respawn()
         self._assign_backlog()
         return job_id
-
-    def cancel_pending(self) -> None:
-        """Flush every job that has not been handed to a worker."""
-        self._cancelling = True
-        for job_id in list(self._backlog):
-            self._resolve_cancelled(job_id)
-        self._backlog.clear()
 
     # -- status ----------------------------------------------------------------
 
@@ -396,31 +377,6 @@ class SimulationPool:
 
     def record(self, job_id: int) -> Optional[dict]:
         return self._records.get(job_id)
-
-    def status(self, job_id: int) -> str:
-        if job_id in self._records:
-            record = self._records[job_id]
-            if record.get("status") == "dead_letter":
-                return "dead_letter"
-            return "failed" if record.get("failed") else "done"
-        if any(job == job_id for job, _ in self._assigned.values()):
-            return "running"
-        if job_id in self._pending:
-            return "queued"
-        return "unknown"
-
-    def dead_letters(self) -> List[dict]:
-        """Every dead-letter record resolved so far."""
-        return [dict(r, job_id=job_id) for job_id, r in self._records.items()
-                if r.get("status") == "dead_letter"]
-
-    def lease_snapshot(self) -> Dict[int, dict]:
-        """Live leases: ``{pid: {job, expires_in_s, suspect}}``."""
-        now = time.monotonic()
-        return {pid: {"job": job,
-                      "expires_in_s": self._lease_deadline.get(pid, 0.0) - now,
-                      "suspect": pid in self._suspect}
-                for pid, (job, _) in self._assigned.items()}
 
     def stats_snapshot(self) -> dict:
         snapshot = dict(self.stats)
@@ -434,7 +390,7 @@ class SimulationPool:
         snapshot["workers"] = self.alive_workers()
         snapshot["degraded"] = self._degraded
         snapshot["pending"] = len(self._pending)
-        snapshot["leases"] = len(self._assigned)
+        snapshot["leases"] = len(self._leased)
         return snapshot
 
     def telemetry_snapshots(self) -> List[dict]:
@@ -453,7 +409,6 @@ class SimulationPool:
         leases, reap dead workers, hand out backlog, degrade when the
         fleet is gone."""
         self._drain_messages(block_s if self._pending else 0.0)
-        self._enforce_timeouts()
         self._enforce_leases()
         self._reap_dead_workers()
         if self._pending and not self._degraded and not self.alive_workers():
@@ -492,23 +447,21 @@ class SimulationPool:
 
     def _assign_backlog(self) -> None:
         """Hand backlog jobs to idle workers (parent-side dispatch)."""
-        if not self._started or self._cancelling:
+        if not self._started:
             return
         for pid, proc in self._workers.items():
             if not self._backlog:
                 return
-            if pid in self._assigned or not proc.is_alive():
+            if pid in self._leased or not proc.is_alive():
                 continue
             job_id = self._backlog.pop(0)
-            if job_id not in self._pending:  # already resolved (cancel)
+            if job_id not in self._pending:  # resolved by a late message
                 continue
             attempt = self._attempts.get(job_id, 0) + 1
             self._attempts[job_id] = attempt
             self._worker_qs[pid].put((job_id, self._pending[job_id], attempt))
             now = time.monotonic()
-            self._assigned[pid] = (job_id, now)
-            self._lease_deadline[pid] = now + self.lease_s
-            self._suspect.pop(pid, None)
+            self._leases.add(pid, now, job=job_id, started=now)
             self.stats["dispatched"] += 1
             self._journal("leased", job_id, attempt=attempt, pid=pid)
 
@@ -530,22 +483,18 @@ class SimulationPool:
                 self._trace_stats_by_pid[pid] = trace_stats
             if tel is not None:
                 self._telemetry_by_pid[pid] = tel
-            if pid in self._assigned:
-                # Any sign of life renews the lease and clears suspicion.
-                self._lease_deadline[pid] = time.monotonic() + self.lease_s
-                self._suspect.pop(pid, None)
+            # Any sign of life renews the lease and clears suspicion.
+            self._leases.touch(pid)
             if kind == "hb":
                 self.stats["heartbeats"] += 1
             elif kind == "start":
                 self._emit(job_id, "started", pid=pid)
             elif kind == "done":
-                self._assigned.pop(pid, None)
-                self._lease_deadline.pop(pid, None)
+                self._leased.pop(pid, None)
                 self._emit(job_id, "simulated", pid=pid)
                 self._resolve(job_id, payload)
             elif kind == "error":
-                self._assigned.pop(pid, None)
-                self._lease_deadline.pop(pid, None)
+                self._leased.pop(pid, None)
                 spec = self._pending.get(job_id)
                 if spec is not None:
                     self._resolve(job_id, failure_record(
@@ -571,98 +520,71 @@ class SimulationPool:
                 self._emit(job_id, "stored")
             self._journal("done", job_id)
 
-    def _resolve_cancelled(self, job_id: int) -> None:
+    def _reclaim(self, pid: int, event: str,
+                 cause: Optional[str] = None, **attrs) -> None:
+        """Take worker ``pid``'s job back: kill the worker (SIGKILL, which
+        also ends a stopped process), retire it, emit ``event``, then
+        redeliver the job for ``cause`` — or, with no cause (a timeout),
+        fail it."""
+        lease = self._leased.pop(pid, None)
+        proc = self._workers.get(pid)
+        if proc is not None:
+            proc.kill()
+            proc.join(timeout=1.0)
+        self._retire_worker(pid)
+        job_id = lease["job"] if lease is not None else None
         spec = self._pending.get(job_id)
-        if spec is None:
-            return
-        self._pending.pop(job_id, None)
-        self._records[job_id] = failure_record(spec, "cancelled",
-                                               status="cancelled")
-        self.stats["cancelled"] += 1
-        self._journal("failed", job_id, error="cancelled")
-
-    def _redeliver_or_dead_letter(self, job_id: int, cause: str) -> None:
-        """A delivery was lost (dead worker / reclaimed lease): hand the
-        job to a fresh worker unless its redelivery budget is spent."""
-        spec = self._pending.get(job_id)
-        if spec is None:
-            return
-        attempts = self._attempts.get(job_id, 0)
-        if attempts > self.max_redeliveries:
-            log_event(_LOG, "pool.dead_letter", job=f"pool-{job_id}",
-                      trace=getattr(spec, "trace_id", None),
-                      attempts=attempts, cause=cause)
-            self._resolve(job_id, failure_record(
-                spec, f"dead-lettered after {attempts} deliveries "
-                      f"(last: {cause})", status="dead_letter"))
-            return
-        self.stats["redeliveries"] += 1
-        self._emit(job_id, "redelivered", cause=cause, attempt=attempts)
-        self._backlog.insert(0, job_id)
-
-    def _enforce_timeouts(self) -> None:
-        if not self.timeout:
-            return
-        now = time.monotonic()
-        for pid in list(self._assigned):
-            job_id, started = self._assigned[pid]
-            if now - started <= self.timeout:
-                continue
-            proc = self._workers.get(pid)
-            if proc is not None:
-                proc.terminate()
-                proc.join(timeout=1.0)
-                self._retire_worker(pid)
-            self._assigned.pop(pid, None)
-            self._lease_deadline.pop(pid, None)
-            self._suspect.pop(pid, None)
-            spec = self._pending.get(job_id)
-            if spec is not None:
+        if spec is not None:
+            self._emit(job_id, event, pid=pid, **attrs)
+            if cause is None:
                 self.stats["timeouts"] += 1
-                self._emit(job_id, "timeout", limit_s=self.timeout)
                 self._resolve(job_id, failure_record(
                     spec, f"timed out after {self.timeout}s",
                     status="timeout"))
-            self._maybe_respawn()
+            else:
+                self._redeliver(job_id, spec, cause)
+        self._maybe_respawn()
+
+    def _redeliver(self, job_id: int, spec: JobSpec, cause: str) -> None:
+        """Back to the front of the backlog, unless the redelivery budget
+        is spent: then the job dead-letters."""
+        attempts = self._attempts.get(job_id, 0)
+        error = redelivery_verdict(attempts, self.max_redeliveries, cause)
+        if error is None:
+            self.stats["redeliveries"] += 1
+            self._emit(job_id, "redelivered", cause=cause, attempt=attempts)
+            self._backlog.insert(0, job_id)
+            return
+        log_event(_LOG, "pool.dead_letter", job=f"pool-{job_id}",
+                  trace=getattr(spec, "trace_id", None),
+                  attempts=attempts, cause=cause)
+        self._resolve(job_id, failure_record(spec, error,
+                                             status="dead_letter"))
 
     def _enforce_leases(self) -> None:
-        """Reclaim jobs whose lease expired: poll -> terminate -> respawn.
+        """Reclaim leases: a job past ``timeout`` fails, and a worker the
+        liveness table declares dead loses its job to redelivery.
 
-        A lease expiry means no heartbeat arrived in time.  The worker
-        gets one grace interval first (``suspect``) — a late heartbeat
-        clears it — then is terminated, its job redelivered (or
-        dead-lettered), and a replacement spawned.
+        A worker silent past ``lease_s`` is only suspect: one heartbeat
+        interval of grace, which a late heartbeat ends.  Still silent
+        after that, it is dead — killed, its job redelivered (or
+        dead-lettered) and a replacement spawned.
         """
+        if self.timeout:
+            now = time.monotonic()
+            for pid, lease in list(self._leased.items()):
+                if now - lease["started"] > self.timeout:
+                    self._reclaim(pid, "timeout", limit_s=self.timeout)
         if not self.lease_s:
             return
-        now = time.monotonic()
-        for pid in list(self._assigned):
-            deadline = self._lease_deadline.get(pid)
-            if deadline is None or now <= deadline:
-                continue
+        for pid, state, _ in self._leases.sweep():
             proc = self._workers.get(pid)
-            if proc is None or not proc.is_alive():
-                continue  # dead, not hung: the reaper owns this pid
-            grace_until = self._suspect.get(pid)
-            if grace_until is None:
-                # Poll first: give one heartbeat interval of grace.
-                self._suspect[pid] = now + self.heartbeat_s
-                continue
-            if now <= grace_until:
-                continue
-            # Still silent after the grace poll: reclaim.
+            if state != DEAD or proc is None or not proc.is_alive():
+                continue  # suspect, or dead not hung: the reaper's pid
             self.stats["lease_expired"] += 1
             log_event(_LOG, "pool.lease_expired", pid=pid,
-                      job=f"pool-{self._assigned[pid][0]}")
-            proc.terminate()
-            proc.join(timeout=1.0)
-            self._retire_worker(pid)
-            job_id, _ = self._assigned.pop(pid)
-            self._emit(job_id, "lease_expired", pid=pid)
-            self._lease_deadline.pop(pid, None)
-            self._suspect.pop(pid, None)
-            self._redeliver_or_dead_letter(job_id, "lease expired")
-            self._maybe_respawn()
+                      job=f"pool-{self._leased[pid]['job']}")
+            self._reclaim(pid, "lease_expired", "lease expired")
 
     def _retire_worker(self, pid: int) -> None:
         self._workers.pop(pid, None)
@@ -675,24 +597,17 @@ class SimulationPool:
         for pid in list(self._workers):
             if self._workers[pid].is_alive():
                 continue
-            self._retire_worker(pid)
             if self._closed:
+                self._retire_worker(pid)
                 continue
             self.stats["worker_deaths"] += 1
             log_event(_LOG, "pool.worker_died", pid=pid,
                       deaths=self.stats["worker_deaths"])
-            died_with = self._assigned.pop(pid, None)
-            self._lease_deadline.pop(pid, None)
-            self._suspect.pop(pid, None)
-            if died_with is not None:
-                # The assignment map is parent-side state, so the
-                # casualty is known even if the worker died before any
-                # message flushed.  Redeliver to a fresh worker within
-                # the bounded budget; a repeat offender is poison and
-                # dead-letters instead of killing the whole fleet.
-                self._emit(died_with[0], "worker_died", pid=pid)
-                self._redeliver_or_dead_letter(died_with[0], "worker died")
-            self._maybe_respawn()
+            # The lease table is parent-side state, so the casualty is
+            # known even if the worker died before any message flushed;
+            # a repeat offender is poison and dead-letters instead of
+            # killing the whole fleet.
+            self._reclaim(pid, "worker_died", "worker died")
 
     def _maybe_respawn(self) -> None:
         if (self._closed or self._degraded
@@ -703,9 +618,7 @@ class SimulationPool:
 
     def _run_backlog_serially(self) -> None:
         for job_id in list(self._backlog):
-            if self._cancelling:
-                self._resolve_cancelled(job_id)
-            elif job_id in self._pending:
+            if job_id in self._pending:
                 self._run_serial(job_id, self._pending[job_id])
         self._backlog.clear()
 

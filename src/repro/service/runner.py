@@ -13,7 +13,7 @@ missed (e.g. behind data-dependent control flow) is simply computed
 through the pool on demand during the real pass.
 
 Records coming back from pool workers are produced by the same
-``ResilientRunner._simulate`` path the serial sweep uses, so counters are
+``ResilientRunner`` path the serial sweep uses, so counters are
 bit-identical to serial execution — asserted in tests.
 """
 
@@ -65,12 +65,10 @@ class PooledRunner(ResilientRunner):
     def __init__(self, pool: SimulationPool,
                  n_instrs: int = 24_000, warmup: int = 6_000,
                  mem_cfg=None, sanitize: Optional[bool] = None,
-                 retries: int = 1, accounting: bool = False,
-                 sample_interval: Optional[int] = None) -> None:
+                 retries: int = 1, accounting: bool = False) -> None:
         super().__init__(n_instrs=n_instrs, warmup=warmup, mem_cfg=mem_cfg,
                          sanitize=sanitize, retries=retries,
-                         accounting=accounting,
-                         sample_interval=sample_interval)
+                         accounting=accounting)
         self.pool = pool
         self._collecting = False
         #: result-cache key -> (cfg, profile) recorded by the collect pass.

@@ -29,7 +29,22 @@ class TestCli:
         # S2 + CPI-stack wiring: stall counters and the cycle stack ride
         # along in the comparison table.
         assert "CPI stack" in out and "iq_head_blocked" in out
-        assert "sampled stall counters" in out
+        assert "stall counters (after warmup)" in out
+
+    def test_compare_stalls_exclude_warmup(self, tmp_path):
+        """The stall table counts the same post-warmup window as the IPC
+        column: it equals a plain run's ``stall`` counters."""
+        from repro.common.params import make_ino_config
+        from repro.harness.runner import Runner
+        from repro.workloads.suite import SUITE
+        out = tmp_path / "cmp.json"
+        assert main(["compare", "--app", "hmmer", "-n", "3000",
+                     "--warmup", "1000", "--json", str(out)]) == 0
+        stalls = json.loads(out.read_text())["cores"]["ino"]["stalls"]
+        counters = Runner(n_instrs=3000, warmup=1000).run(
+            make_ino_config(), SUITE["hmmer"]).stats.counters
+        expected = {k: v for k, v in counters.items() if "stall" in k}
+        assert expected and stalls == expected
 
     def test_characterize(self, capsys):
         assert main(["characterize", "--app", "h264ref", "-n", "2000"]) == 0

@@ -346,6 +346,32 @@ class TestNodeLifecycle:
         assert service.counters["duplicate_completions"] == 1
         assert service.job(entry["id"])["status"] == "done"
 
+    def test_late_completion_of_requeued_job_leaves_no_phantom_depth(
+            self, tmp_path):
+        """A dead node's job is requeued, then its completion arrives
+        anyway: first completion wins, and the requeued entry must stop
+        counting toward the queue depth (and ``max_queue``)."""
+        from repro.service.cluster.coordinator import QueueFullError
+        from repro.service.jobs import execute_job
+        store = ResultStore(tmp_path / "store")
+        service = ClusterService(store, max_queue=2, suspect_after_s=1.0,
+                                 dead_after_s=2.0)
+        service.register_node("A", capacity=1)
+        spec = _spec("ino", "mcf")
+        entry = service.submit(spec)
+        (lease, ) = service.try_lease("A", max_jobs=1)
+        service.tick(now=time.monotonic() + 10)  # A dies: job requeued
+        assert service.stats()["queue"]["depth"] == 1
+        service.complete("A", lease["id"], execute_job(spec))
+        assert service.job(entry["id"])["status"] == "done"
+        assert service.stats()["queue"]["depth"] == 0
+        try:
+            accepted = [service.submit(_spec("ino", app))
+                        for app in ("hmmer", "milc")]
+        except QueueFullError:
+            pytest.fail("phantom queue entry rejected a full batch")
+        assert service.stats()["queue"]["depth"] == len(accepted) == 2
+
 
 class TestReplicaStore:
     def _record(self):

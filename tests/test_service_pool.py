@@ -1,6 +1,9 @@
-"""Worker pool: parity with serial, caching, faults, timeouts, cancel."""
+"""Worker pool: parity with serial, caching, faults, timeouts."""
 
 import dataclasses
+import os
+import signal
+import time
 
 import pytest
 
@@ -107,8 +110,6 @@ class TestFaults:
         assert stats["dead_lettered"] == 1
         # first delivery + max_redeliveries redeliveries, then quarantine
         assert stats["worker_deaths"] == 3
-        assert pool.dead_letters() and \
-            pool.dead_letters()[0]["status"] == "dead_letter"
 
     def test_stalled_heartbeat_lease_reclaimed_bit_identical(self):
         """A worker that stops heartbeating loses its lease; the job is
@@ -150,32 +151,52 @@ class TestFaults:
         assert record["status"] == "timeout"
         assert stats["timeouts"] == 1
 
-    def test_cancel_pending_flushes_queued_jobs(self):
-        """Jobs queued behind a running one are flushed by cancel; the
-        in-flight job still completes."""
-        specs = _specs([("casino", "mcf"), ("ino", "hmmer"),
-                        ("ino", "mcf"), ("ino", "milc")])
-        specs[0] = dataclasses.replace(specs[0], n_instrs=60_000,
-                                       warmup=2000)
-        with SimulationPool(n_workers=1) as pool:
-            ids = [pool.submit(spec) for spec in specs]
-            deadline = 60
-            import time
-            start = time.monotonic()
-            while pool.status(ids[0]) != "running":
-                assert time.monotonic() - start < deadline
-                pool.tick(block_s=0.02)
-                if pool.done(ids[0]):
-                    break
-            pool.cancel_pending()
-            pool.wait(ids)
-            first = pool.record(ids[0])
-            rest = [pool.record(job_id) for job_id in ids[1:]]
-            stats = pool.stats_snapshot()
-        assert not first["failed"]
-        for record in rest:
-            assert record["status"] == "cancelled"
-        assert stats["cancelled"] == len(rest)
+    def test_frozen_worker_killed_and_job_redelivered(self):
+        """A worker frozen mid-job (SIGSTOP: alive, but silent) loses its
+        lease; the reclaim must really end the process — SIGTERM would
+        stay pending on a stopped one — and the redelivered job is
+        counter-digest identical to serial execution."""
+        spec = JobSpec.make(make_ino_config(), SUITE["mcf"],
+                            n_instrs=60_000, warmup=2000)
+        events, started = [], {}
+
+        def on_event(job_id, event, **attrs):
+            events.append(event)
+            if event == "started" and not started:
+                started.update(pid=attrs["pid"], at=time.monotonic())
+
+        frozen = None
+        with SimulationPool(n_workers=1, lease_s=0.6,
+                            heartbeat_s=0.1) as pool:
+            pool.on_event = on_event
+            try:
+                job = pool.submit(spec)
+                deadline = time.monotonic() + 120
+                while not pool.done(job):
+                    assert time.monotonic() < deadline, events
+                    pool.tick(block_s=0.02)
+                    if frozen is None and started \
+                            and time.monotonic() - started["at"] > 0.3:
+                        frozen = started["pid"]
+                        os.kill(frozen, signal.SIGSTOP)
+                record = pool.record(job)
+                stats = pool.stats_snapshot()
+                with pytest.raises(ProcessLookupError):
+                    os.kill(frozen, 0)  # reaped, not left stopped
+            finally:
+                if frozen is not None:
+                    try:
+                        os.kill(frozen, signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
+        assert events[:3] == ["started", "lease_expired", "redelivered"]
+        assert stats["lease_expired"] == 1
+        assert not record["failed"]
+        # Serial run last: forked workers would inherit its memoised
+        # result and never simulate at all.
+        serial = execute_job(spec)
+        assert record["manifest"]["counter_digest"] == \
+            serial["manifest"]["counter_digest"]
 
     def test_trace_evictions_reported(self):
         with SimulationPool(n_workers=1) as pool:
