@@ -482,7 +482,7 @@ def _cmd_store(args) -> int:
     if "traces" in report:
         traces = report["traces"]
         print(f"traces:  {traces['checked']} checked, {traces['ok']} ok, "
-              f"{traces['deleted']} corrupt deleted")
+              f"{traces['quarantined']} quarantined")
     if args.repair and report["quarantine_backlog"]:
         from repro.service.pool import SimulationPool
         from repro.service.scrub import repair_quarantined

@@ -49,6 +49,8 @@ class CasinoCore(CoreModel):
         self.lsu = CasinoLsu(cfg, self.hier, self.stats)
         self.dbuf_used = 0
         self._use_dbuf = cfg.rename_scheme == RENAME_CONDITIONAL
+        self._agi_ordering = cfg.disambiguation == DISAMBIG_AGI_ORDERING
+        self._n_siqs = len(sizes) - 1
 
     def pipeline_empty(self) -> bool:
         return (not self.rob and self.lsu.empty
@@ -117,7 +119,8 @@ class CasinoCore(CoreModel):
         # Guards mirror each stage's own early-out so stalled cycles skip
         # the call entirely; the stages stay correct when called directly.
         lsu = self.lsu
-        if lsu.sq:
+        sq = lsu.sq
+        if sq and sq[0].committed:
             lsu.retire_head(cycle, self.fu)
         rob = self.rob
         if rob:
@@ -125,11 +128,13 @@ class CasinoCore(CoreModel):
             if done is not None and done <= cycle:
                 self._commit(cycle)
         budget = self.cfg.width
-        if self.queues[-1]:
+        queues = self.queues
+        if queues[-1]:
             budget -= self._issue_iq(cycle, budget)
-        self._scan_siqs(cycle, budget)
+        if queues[0] or self._n_siqs > 1:
+            self._scan_siqs(cycle, budget)
         fq = self.fetch.queue
-        if fq and fq[0].ready_at <= cycle:
+        if fq and fq[0][0] <= cycle:
             self._dispatch(cycle)
 
     # -- commit -----------------------------------------------------------------
@@ -144,12 +149,13 @@ class CasinoCore(CoreModel):
         committed = 0
         counters = self.stats.counters
         width = self.cfg.width
-        while (rob and committed < width
-               and rob[0].done_at is not None
-               and rob[0].done_at <= cycle):
+        lsu = self.lsu
+        renamer_commit = self.renamer.commit
+        note_commit = self.note_commit
+        while committed < width:
             entry = rob[0]
             inst = entry.inst
-            if inst.is_load and self.lsu.commit_load(entry, cycle):
+            if inst.is_load and lsu.commit_load(entry, cycle):
                 # On-commit value-check failed: flush this load and all
                 # younger instructions, then re-execute.
                 if self.tracer is not None:
@@ -159,36 +165,43 @@ class CasinoCore(CoreModel):
                 return
             rob.popleft()
             if inst.is_store:
-                self.lsu.commit_store(entry, cycle)
-            self.renamer.commit(entry)
+                lsu.commit_store(entry, cycle)
+            if entry.fresh_phys:
+                renamer_commit(entry)
             if entry.queue_tag == "dbuf":
                 self.dbuf_used -= 1
                 counters["dbuf_access"] += 1.0
             counters["rob_reads"] += 1.0
-            self.note_commit(entry, cycle)
+            note_commit(entry, cycle)
             counters["committed_s_issue" if entry.from_siq
                      else "committed_iq_issue"] += 1.0
             committed += 1
+            if not rob:
+                return
+            done = rob[0].done_at
+            if done is None or done > cycle:
+                return
 
     # -- issue from the final in-order IQ ------------------------------------------
 
     def _issue_iq(self, cycle: int, budget: int) -> int:
         """Strict in-order issue at the IQ head; returns slots used."""
         iq = self.queues[-1]
-        if not iq:
-            return 0
         issued = 0
         counters = self.stats.counters
+        fu_take = self.fu.take
+        use_dbuf = self._use_dbuf
         while iq and issued < budget:
             entry = iq[0]
-            if not entry.ready(cycle):
+            if entry.n_pending and not entry.ready(cycle):
                 counters["iq_stall_src"] += 1.0
                 break
-            needs_dbuf = (self._use_dbuf and entry.inst.dst is not None)
+            inst = entry.inst
+            needs_dbuf = use_dbuf and inst.dst is not None
             if needs_dbuf and self.dbuf_used >= self.cfg.data_buffer_size:
                 counters["iq_stall_dbuf"] += 1.0
                 break
-            if not self.fu.take(entry.inst.op):
+            if not fu_take(inst.op):
                 counters["iq_stall_fu"] += 1.0
                 break
             iq.popleft()
@@ -196,8 +209,9 @@ class CasinoCore(CoreModel):
                 self.dbuf_used += 1
                 entry.queue_tag = "dbuf"
                 counters["dbuf_access"] += 1.0
-            self.renamer.on_iq_issue(entry)
-            self._execute(entry, cycle, from_iq=True)
+            if inst.dst is not None and not entry.fresh_phys:
+                self.renamer.on_iq_issue(entry)
+            self._execute(entry, cycle, True)
             issued += 1
         return issued
 
@@ -205,50 +219,86 @@ class CasinoCore(CoreModel):
 
     def _scan_siqs(self, cycle: int, budget: int) -> None:
         """Process each S-IQ head with the [WS, SO] window, oldest queue
-        (closest to the IQ) first."""
+        (closest to the IQ) first.  Each queue examines its head up to WS
+        times: a ready head issues while issue slots last, a non-ready one
+        passes to the next queue (at most SO times).  Leaving the first
+        S-IQ renames the instruction and allocates its ROB (and SQ)
+        entry."""
         queues = self.queues
-        for qi in range(len(queues) - 2, -1, -1):
-            if queues[qi]:
-                budget -= self._scan_one_siq(qi, cycle, budget)
-
-    def _scan_one_siq(self, qi: int, cycle: int, budget: int) -> int:
-        queue = self.queues[qi]
-        if not queue:
-            return 0
         cfg = self.cfg
-        next_queue = self.queues[qi + 1]
-        next_cap = self.queue_sizes[qi + 1]
-        first = qi == 0
-        issued = 0
-        processed = 0
-        passes = 0
+        ws = cfg.specino_ws
+        so = cfg.specino_so
+        rob_size = cfg.rob_size
+        rob = self.rob
+        renamer = self.renamer
+        lsu = self.lsu
+        fu = self.fu
         counters = self.stats.counters
-        while queue and processed < cfg.specino_ws:
-            entry = queue[0]
-            if first:
-                counters["siq_examined"] += 1.0
-            if entry.ready(cycle):
-                if issued >= budget:
-                    break  # ready but out of issue slots: wait, don't pass
-                if not self._can_issue_spec(entry, first):
+        execute = self._execute
+        for qi in range(self._n_siqs - 1, -1, -1):
+            queue = queues[qi]
+            if not queue:
+                continue
+            first = qi == 0
+            next_queue = queues[qi + 1]
+            next_cap = self.queue_sizes[qi + 1]
+            processed = 0
+            passes = 0
+            while queue and processed < ws:
+                entry = queue[0]
+                inst = entry.inst
+                if first:
+                    counters["siq_examined"] += 1.0
+                if not entry.n_pending or entry.ready(cycle):
+                    if budget <= 0:
+                        break  # ready but out of issue slots: wait, don't pass
                     # Ready but resource-blocked: waiting at the head beats
                     # passing (footnote 1 of the paper).
+                    if first:
+                        if len(rob) >= rob_size:
+                            break
+                        if not renamer.can_alloc(inst.dst):
+                            counters["issue_stall_prf"] += 1.0
+                            break
+                        if inst.is_store and not lsu.has_store_space():
+                            break
+                        if inst.is_load and not lsu.has_load_space():
+                            break
+                    if (inst.is_mem and self._agi_ordering
+                            and self._older_unissued_mem(entry.seq)):
+                        counters["agi_order_stalls"] += 1.0
+                        break
+                    if not fu.take(inst.op):
+                        break
+                    queue.popleft()
+                    if first:
+                        renamer.rename_speculative(entry)
+                        rob.append(entry)
+                        counters["rob_writes"] += 1.0
+                        if inst.is_store:
+                            lsu.dispatch_store(entry)
+                    execute(entry, cycle, False)
+                    budget -= 1
+                    processed += 1
+                    continue
+                # Not ready: try to pass it to the next queue.
+                if passes >= so or len(next_queue) >= next_cap:
                     break
-                queue.popleft()
-                self.fu.take(entry.inst.op)
                 if first:
-                    self._leave_first_siq(entry, passed=False)
-                self._execute(entry, cycle, from_iq=False)
-                issued += 1
-                processed += 1
-                continue
-            # Not ready: try to pass it to the next queue.
-            if (passes < cfg.specino_so
-                    and len(next_queue) < next_cap
-                    and (not first or self._can_pass_first(entry))):
+                    if len(rob) >= rob_size:
+                        break
+                    if not renamer.can_pass(inst.dst):
+                        counters["pass_stall_rename"] += 1.0
+                        break
+                    if inst.is_store and not lsu.has_store_space():
+                        break
                 queue.popleft()
                 if first:
-                    self._leave_first_siq(entry, passed=True)
+                    renamer.rename_passed(entry)
+                    rob.append(entry)
+                    counters["rob_writes"] += 1.0
+                    if inst.is_store:
+                        lsu.dispatch_store(entry)
                 next_queue.append(entry)
                 if self.tracer is not None:
                     self.tracer.emit("siq_promote", cycle, entry.seq,
@@ -256,40 +306,6 @@ class CasinoCore(CoreModel):
                 counters["siq_passes"] += 1.0
                 passes += 1
                 processed += 1
-                continue
-            break
-        return issued
-
-    def _can_pass_first(self, entry: InflightInst) -> bool:
-        inst = entry.inst
-        if len(self.rob) >= self.cfg.rob_size:
-            return False
-        if not self.renamer.can_pass(inst.dst):
-            self.stats.add("pass_stall_rename")
-            return False
-        if inst.is_store and not self.lsu.has_store_space():
-            return False
-        return True
-
-    def _can_issue_spec(self, entry: InflightInst, first: bool) -> bool:
-        inst = entry.inst
-        if first:
-            if len(self.rob) >= self.cfg.rob_size:
-                return False
-            if not self.renamer.can_alloc(inst.dst):
-                self.stats.add("issue_stall_prf")
-                return False
-            if inst.is_store and not self.lsu.has_store_space():
-                return False
-            if inst.is_load and not self.lsu.has_load_space():
-                return False
-        if inst.is_mem and self.cfg.disambiguation == DISAMBIG_AGI_ORDERING:
-            if self._older_unissued_mem(entry.seq):
-                self.stats.add("agi_order_stalls")
-                return False
-        if not self.fu.available(inst.op):
-            return False
-        return True
 
     def _older_unissued_mem(self, seq: int) -> bool:
         for other in self.rob:
@@ -299,38 +315,30 @@ class CasinoCore(CoreModel):
                 return True
         return False
 
-    def _leave_first_siq(self, entry: InflightInst, passed: bool) -> None:
-        """Rename + allocate ROB/SQ as the instruction exits the first S-IQ."""
-        if passed:
-            self.renamer.rename_passed(entry)
-        else:
-            self.renamer.rename_speculative(entry)
-            entry.from_siq = True
-        self.rob.append(entry)
-        self.stats.counters["rob_writes"] += 1.0
-        if entry.inst.is_store:
-            self.lsu.dispatch_store(entry)
-
     # -- execution ---------------------------------------------------------------
 
     def _execute(self, entry: InflightInst, cycle: int, from_iq: bool) -> None:
         inst = entry.inst
         entry.issue_at = cycle
         counters = self.stats.counters
+        is_mem = inst.is_mem
         if from_iq:
             counters["issued_iq"] += 1.0
-            counters["issued_iq_mem" if inst.is_mem
-                     else "issued_iq_nonmem"] += 1.0
+            counters["issued_iq_mem" if is_mem else "issued_iq_nonmem"] += 1.0
         else:
             entry.from_siq = True
             counters["issued_spec"] += 1.0
-            counters["issued_spec_mem" if inst.is_mem
+            counters["issued_spec_mem" if is_mem
                      else "issued_spec_nonmem"] += 1.0
         counters["issued"] += 1.0
         counters["prf_reads"] += float(len(inst.srcs))
         if inst.dst is not None:
             counters["prf_writes"] += 1.0
-        if inst.is_load:
+        if not is_mem:
+            entry.done_at = cycle + inst.latency
+            if inst.is_branch:
+                self.resolve_branch_if_gating(entry)
+        elif inst.is_load:
             forward = self.lsu.load_issued(entry, cycle, from_iq)
             entry.forward_store = forward
             if forward is not None:
@@ -338,21 +346,19 @@ class CasinoCore(CoreModel):
                 counters["stl_forwards"] += 1.0
             else:
                 entry.done_at = cycle + self.load_latency(entry, cycle)
-        elif inst.is_store:
+        else:
             entry.done_at = cycle + 1
-            self.lsu.store_issued(entry, cycle)
-            if self.lsu.violation_seq is not None:
-                victim = self.lsu.violation_seq
-                self.lsu.violation_seq = None
+            lsu = self.lsu
+            lsu.store_issued(entry, cycle)
+            if lsu.violation_seq is not None:
+                victim = lsu.violation_seq
+                lsu.violation_seq = None
                 if self.tracer is not None:
                     self.tracer.emit("storeset_violation", cycle, victim,
                                      mechanism="lq_search", store=entry.seq)
                 self._squash(victim, cycle)
-        else:
-            entry.done_at = cycle + inst.latency
         if self.tracer is not None:
             self.trace_issue(entry, cycle, from_iq=from_iq)
-        self.resolve_branch_if_gating(entry)
         self._schedule_wakeup(entry)
 
     # -- event-driven fast forward --------------------------------------------
@@ -365,10 +371,18 @@ class CasinoCore(CoreModel):
             head = self.rob[0]
             if head.done_at is not None and head.done_at <= cycle:
                 return None  # commits (or value-check squashes) this cycle
-        rates = {}
+        # Then the frontend, the other usual reason a stepped cycle is busy.
         cand = []
+        if not self._dispatch_quiescent(
+                cycle, cand, self.queue_sizes[0] - len(self.queues[0])):
+            return None
+        if not self._fetch_quiescent(cycle, cand):
+            return None
+        rates = {}
         cfg = self.cfg
-        if not self.lsu.retire_quiescent(cycle, rates, cand):
+        sq = self.lsu.sq
+        if (sq and sq[0].committed
+                and not self.lsu.retire_quiescent(cycle, rates, cand)):
             return None  # SB head retires
         iq = self.queues[-1]
         if iq:
@@ -382,20 +396,15 @@ class CasinoCore(CoreModel):
                 return None  # IQ head would issue
             else:
                 rates["iq_stall_fu"] = 1
-        for qi in range(len(self.queues) - 2, -1, -1):
+        for qi in range(self._n_siqs - 1, -1, -1):
             if not self._siq_quiescent(qi, cycle, rates):
                 return None
-        if not self._dispatch_quiescent(
-                cycle, cand, self.queue_sizes[0] - len(self.queues[0])):
-            return None
-        if not self._fetch_quiescent(cycle, cand):
-            return None
         return self._finish_hint(cand, rates)
 
     def _siq_quiescent(self, qi: int, cycle: int, rates) -> bool:
         """True when this S-IQ's head scan is provably a no-op at
         ``cycle`` (one head examination, no issue, no pass) — mirroring
-        the exact break order and counters of ``_scan_one_siq``."""
+        the exact break order and counters of ``_scan_siqs``."""
         queue = self.queues[qi]
         if not queue:
             return True
@@ -415,8 +424,8 @@ class CasinoCore(CoreModel):
 
     def _spec_issue_blocked(self, entry: InflightInst, first: bool,
                             rates) -> bool:
-        """Read-only twin of ``_can_issue_spec`` (same counter effects):
-        True when the ready head cannot issue this cycle."""
+        """Read-only twin of ``_scan_siqs``' issue checks (same counter
+        effects): True when the ready head cannot issue this cycle."""
         inst = entry.inst
         if first:
             if len(self.rob) >= self.cfg.rob_size:
@@ -428,7 +437,7 @@ class CasinoCore(CoreModel):
                 return True
             if inst.is_load and not self.lsu.has_load_space():
                 return True
-        if inst.is_mem and self.cfg.disambiguation == DISAMBIG_AGI_ORDERING:
+        if inst.is_mem and self._agi_ordering:
             if self._older_unissued_mem(entry.seq):
                 rates["agi_order_stalls"] = (
                     rates.get("agi_order_stalls", 0) + 1)
@@ -436,8 +445,9 @@ class CasinoCore(CoreModel):
         return self.fu.zero_capacity(inst.op)
 
     def _pass_blocked(self, entry: InflightInst, rates) -> bool:
-        """Read-only twin of ``_can_pass_first`` (same counter effects):
-        True when the non-ready first-S-IQ head cannot pass downstream."""
+        """Read-only twin of ``_scan_siqs``' first-S-IQ pass checks (same
+        counter effects): True when the non-ready first-S-IQ head cannot
+        pass downstream."""
         inst = entry.inst
         if len(self.rob) >= self.cfg.rob_size:
             return True
@@ -452,14 +462,17 @@ class CasinoCore(CoreModel):
 
     def _dispatch(self, cycle: int) -> None:
         fq = self.fetch.queue
-        if not fq or fq[0].ready_at > cycle:
+        if not fq or fq[0][0] > cycle:
             return
         first = self.queues[0]
         space = self.queue_sizes[0] - len(first)
-        counters = self.stats.counters
-        for inst in self.fetch.pop_ready(cycle, min(space, self.cfg.width)):
-            first.append(self.make_entry(inst))
-            counters["dispatched"] += 1.0
+        width = self.cfg.width
+        insts = self.fetch.pop_ready(cycle, space if space < width else width)
+        if insts:
+            make_entry = self.make_entry
+            for inst in insts:
+                first.append(make_entry(inst))
+            self.stats.counters["dispatched"] += float(len(insts))
 
     # -- squash ---------------------------------------------------------------------
 

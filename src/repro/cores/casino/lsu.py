@@ -74,7 +74,7 @@ class CasinoLsu:
     def dispatch_store(self, entry: InflightInst) -> None:
         """Store leaves the S-IQ: allocate its SQ entry (tail)."""
         self.sq.append(entry)
-        self.stats.add("sq_writes")
+        self.stats.counters["sq_writes"] += 1.0
 
     def store_issued(self, store: InflightInst, cycle: int) -> None:
         """The store's address resolved (it issued)."""
@@ -151,7 +151,7 @@ class CasinoLsu:
                 load.osca_skipped = True
         forward = None
         if not skip_search:
-            self.stats.add("sq_searches")
+            self.stats.counters["sq_searches"] += 1.0
             forward = self._youngest_forwarder(load)
         if forward is not None:
             # Only unresolved stores younger than the forwarder matter.
@@ -165,7 +165,7 @@ class CasinoLsu:
             previous = self.sentinels.get(target)
             if previous is None or load.seq > previous:
                 self.sentinels[target] = load.seq
-            self.stats.add("sentinels_set")
+            self.stats.counters["sentinels_set"] += 1.0
         if not from_iq:
             # Load->load ordering (TSO): pin the cache line so remote
             # invalidations are withheld until this load commits.

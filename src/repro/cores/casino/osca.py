@@ -35,29 +35,33 @@ class Osca:
         self.stats = stats if stats is not None else Stats()
 
     def _slots(self, addr: int, size: int) -> Iterable[int]:
-        first = addr // self.granule
-        last = (addr + size - 1) // self.granule
-        return (slot % self.entries for slot in range(first, last + 1))
+        granule = self.granule
+        entries = self.entries
+        return [slot % entries for slot in
+                range(addr // granule, (addr + size - 1) // granule + 1)]
 
     def inc(self, addr: int, size: int) -> None:
         """A store to [addr, addr+size) became outstanding."""
+        counters = self.counters
         for slot in self._slots(addr, size):
-            if self.counters[slot] >= self.cap:
+            if counters[slot] >= self.cap:
                 raise AssertionError(
                     "OSCA counter saturated: sizing invariant violated")
-            self.counters[slot] += 1
+            counters[slot] += 1
 
     def dec(self, addr: int, size: int) -> None:
         """A store retired (or was squashed after resolving)."""
+        counters = self.counters
         for slot in self._slots(addr, size):
-            if self.counters[slot] <= 0:
+            if counters[slot] <= 0:
                 raise AssertionError("OSCA counter underflow")
-            self.counters[slot] -= 1
+            counters[slot] -= 1
 
     def outstanding(self, addr: int, size: int) -> int:
         """Max counter value over the load's granules (0 => skip search)."""
         self.stats.counters["osca_access"] += 1.0
-        return max(self.counters[slot] for slot in self._slots(addr, size))
+        counters = self.counters
+        return max([counters[slot] for slot in self._slots(addr, size)])
 
     @property
     def total(self) -> int:

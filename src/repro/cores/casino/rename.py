@@ -24,7 +24,6 @@ from repro.common.params import (
 )
 from repro.common.stats import Stats
 from repro.engine.core_base import InflightInst
-from repro.isa.registers import is_fp_reg
 
 
 class ConditionalRenamer:
@@ -56,7 +55,8 @@ class ConditionalRenamer:
         """Is a free physical register of the right class available?"""
         if dst is None:
             return True
-        return (self.free_fp if is_fp_reg(dst) else self.free_int) > 0
+        # Flat register ids number the FP file after the integer one.
+        return (self.free_fp if dst >= NUM_INT_ARCH else self.free_int) > 0
 
     def can_pass(self, dst: Optional[int]) -> bool:
         """May an instruction writing ``dst`` be passed to the IQ?
@@ -101,7 +101,8 @@ class ConditionalRenamer:
         self.stats.counters["producer_count_incs"] += 1.0
 
     def _alloc(self, entry: InflightInst, dst: int) -> None:
-        if is_fp_reg(dst):
+        fp = dst >= NUM_INT_ARCH
+        if fp:
             if self.free_fp <= 0:
                 raise AssertionError("allocation without can_alloc check")
             self.free_fp -= 1
@@ -109,15 +110,17 @@ class ConditionalRenamer:
             if self.free_int <= 0:
                 raise AssertionError("allocation without can_alloc check")
             self.free_int -= 1
-        entry.prev_phys = self.rat[dst]
-        entry.phys = self._next_phys
+        rat = self.rat
+        entry.prev_phys = rat[dst]
+        phys = self._next_phys
+        entry.phys = phys
         entry.fresh_phys = True
-        self._next_phys += 1
-        self.rat[dst] = entry.phys
+        self._next_phys = phys + 1
+        rat[dst] = phys
         counters = self.stats.counters
         counters["rat_writes"] += 1.0
         counters["reg_allocs"] += 1.0
-        counters["reg_allocs_fp" if is_fp_reg(dst) else "reg_allocs_int"] += 1.0
+        counters["reg_allocs_fp" if fp else "reg_allocs_int"] += 1.0
 
     # -- lifecycle events ---------------------------------------------------------
 
@@ -140,7 +143,7 @@ class ConditionalRenamer:
             self._free(entry.inst.dst)
 
     def _free(self, dst: int) -> None:
-        if is_fp_reg(dst):
+        if dst >= NUM_INT_ARCH:
             self.free_fp += 1
         else:
             self.free_int += 1

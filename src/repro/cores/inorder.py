@@ -59,8 +59,11 @@ class InOrderCore(CoreModel):
     def _step(self, cycle: int) -> None:
         # Guards mirror each stage's own early-out so stalled cycles skip
         # the call entirely; the stages stay correct when called directly.
-        if self.sb:
-            self._retire_stores(cycle)
+        sb = self.sb
+        if sb:
+            fill_ready = sb[0].fill_ready
+            if fill_ready is not None and fill_ready <= cycle:
+                self._retire_stores(cycle)
         scb = self.scb
         if scb:
             done = scb[0].done_at
@@ -69,7 +72,7 @@ class InOrderCore(CoreModel):
         if self.iq:
             self._issue(cycle)
         fq = self.fetch.queue
-        if fq and fq[0].ready_at <= cycle:
+        if fq and fq[0][0] <= cycle:
             self._dispatch(cycle)
 
     def _retire_stores(self, cycle: int) -> None:
@@ -90,65 +93,79 @@ class InOrderCore(CoreModel):
         """In-order write-back/commit from the SCB head."""
         committed = 0
         counters = self.stats.counters
+        cfg = self.cfg
+        width = cfg.width
         scb = self.scb
-        while (scb and committed < self.cfg.width
-               and scb[0].done_at is not None
-               and scb[0].done_at <= cycle):
+        sb = self.sb
+        note_commit = self.note_commit
+        while scb and committed < width:
             entry = scb[0]
+            done = entry.done_at
+            if done is None or done > cycle:
+                break
             if entry.inst.is_store:
-                if len(self.sb) >= self.cfg.sq_sb_size:
+                if len(sb) >= cfg.sq_sb_size:
                     counters["sb_full_stalls"] += 1.0
                     break
-                self.sb.append(entry)
+                sb.append(entry)
                 self.start_store_fill(entry, cycle)
                 counters["sb_writes"] += 1.0
             scb.popleft()
-            self.note_commit(entry, cycle)
-            counters["scb_access"] += 1.0
+            note_commit(entry, cycle)
             committed += 1
+        if committed:
+            counters["scb_access"] += float(committed)
 
     def _issue(self, cycle: int) -> None:
-        """Strict in-order issue: stop at the first non-issuable head."""
+        """Strict in-order issue: stop at the first non-issuable head.
+
+        Execute is folded in: a load searches the SCB/SB for a forwarding
+        store (else goes to the L1D), a store moves to the SQ/SB path in
+        one cycle, everything else takes its op latency."""
         issued = 0
         counters = self.stats.counters
+        cfg = self.cfg
+        width = cfg.width
         iq = self.iq
-        while iq and issued < self.cfg.width:
+        scb = self.scb
+        fu_take = self.fu.take
+        while iq and issued < width:
             entry = iq[0]
-            if not entry.ready(cycle):
+            if entry.n_pending and not entry.ready(cycle):
                 counters["issue_stall_src"] += 1.0
                 break
-            if len(self.scb) >= self.cfg.scb_size:
+            if len(scb) >= cfg.scb_size:
                 counters["issue_stall_scb"] += 1.0
                 break
-            if not self.fu.take(entry.inst.op):
+            inst = entry.inst
+            if not fu_take(inst.op):
                 counters["issue_stall_fu"] += 1.0
                 break
             iq.popleft()
-            self._execute(entry, cycle)
-            self.scb.append(entry)
-            issued += 1
-            counters["issued"] += 1.0
-            counters["scb_access"] += 1.0
-
-    def _execute(self, entry: InflightInst, cycle: int) -> None:
-        inst = entry.inst
-        entry.issue_at = cycle
-        if inst.is_load:
-            forward = self._forwarding_store(entry)
-            if forward is not None:
-                entry.done_at = cycle + 2  # store->load forward
-                entry.forward_store = forward
-                self.stats.add("stl_forwards")
+            entry.issue_at = cycle
+            if inst.is_load:
+                forward = self._forwarding_store(entry)
+                if forward is not None:
+                    entry.done_at = cycle + 2  # store->load forward
+                    entry.forward_store = forward
+                    counters["stl_forwards"] += 1.0
+                else:
+                    entry.done_at = cycle + self.load_latency(entry, cycle)
+            elif inst.is_store:
+                entry.done_at = cycle + 1  # address+data move to the SQ/SB path
             else:
-                entry.done_at = cycle + self.load_latency(entry, cycle)
-        elif inst.is_store:
-            entry.done_at = cycle + 1  # address+data move to the SQ/SB path
-        else:
-            entry.done_at = cycle + inst.latency
-        if self.tracer is not None:
-            self.trace_issue(entry, cycle)
-        self.resolve_branch_if_gating(entry)
-        self._schedule_wakeup(entry)
+                entry.done_at = cycle + inst.latency
+                if inst.is_branch:
+                    self.resolve_branch_if_gating(entry)
+            if self.tracer is not None:
+                self.trace_issue(entry, cycle)
+            self._schedule_wakeup(entry)
+            scb.append(entry)
+            issued += 1
+        if issued:
+            # Every issue writes its SCB entry; every commit reads one.
+            counters["issued"] += float(issued)
+            counters["scb_access"] += float(issued)
 
     def _forwarding_store(self, load: InflightInst) -> Optional[InflightInst]:
         """Youngest older store (SCB or SB) writing the load's bytes.
@@ -172,13 +189,17 @@ class InOrderCore(CoreModel):
 
     def _dispatch(self, cycle: int) -> None:
         fq = self.fetch.queue
-        if not fq or fq[0].ready_at > cycle:
+        if not fq or fq[0][0] > cycle:
             return
-        space = self.cfg.iq_size - len(self.iq)
-        counters = self.stats.counters
-        for inst in self.fetch.pop_ready(cycle, min(space, self.cfg.width)):
-            self.iq.append(self.make_entry(inst))
-            counters["dispatched"] += 1.0
+        iq = self.iq
+        space = self.cfg.iq_size - len(iq)
+        width = self.cfg.width
+        insts = self.fetch.pop_ready(cycle, space if space < width else width)
+        if insts:
+            make_entry = self.make_entry
+            for inst in insts:
+                iq.append(make_entry(inst))
+            self.stats.counters["dispatched"] += float(len(insts))
 
     # -- event-driven fast forward --------------------------------------------
 
@@ -186,8 +207,15 @@ class InOrderCore(CoreModel):
         """Mirror of ``_step``'s stage gates, read-only: ``None`` as soon
         as any stage would act this cycle, else the stall counters each
         blocked stage bumps per cycle plus the unblock-time candidates."""
-        rates = {}
+        # The frontend first: it is the usual reason a stepped cycle is
+        # busy (every check is read-only, so the order is free).
         cand = []
+        if not self._dispatch_quiescent(cycle, cand,
+                                        self.cfg.iq_size - len(self.iq)):
+            return None
+        if not self._fetch_quiescent(cycle, cand):
+            return None
+        rates = {}
         if self.sb:
             head = self.sb[0]
             if head.fill_ready is not None and head.fill_ready > cycle:
@@ -212,9 +240,4 @@ class InOrderCore(CoreModel):
                 return None  # head would issue
             else:
                 rates["issue_stall_fu"] = 1
-        if not self._dispatch_quiescent(cycle, cand,
-                                        self.cfg.iq_size - len(self.iq)):
-            return None
-        if not self._fetch_quiescent(cycle, cand):
-            return None
         return self._finish_hint(cand, rates)

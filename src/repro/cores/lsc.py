@@ -230,8 +230,12 @@ class LoadSliceCore(CoreModel):
     # -- event-driven fast forward --------------------------------------------
 
     def _next_event_cycle(self, cycle: int):
-        rates = {}
         cand = []
+        # Fetch first: it is the usual reason a stepped cycle is busy (every
+        # check is read-only, so the order is free).
+        if not self._fetch_quiescent(cycle, cand):
+            return None
+        rates = {}
         cfg = self.cfg
         if self.sb:
             head = self.sb[0]
@@ -259,15 +263,13 @@ class LoadSliceCore(CoreModel):
                 return None  # head would issue
         queue = self.fetch.queue
         if queue:
-            fhead = queue[0]
-            if fhead.ready_at > cycle:
-                cand.append(fhead.ready_at)
+            ready_at, finst = queue[0]
+            if ready_at > cycle:
+                cand.append(ready_at)
             elif len(self.rob) < cfg.rob_size:
-                target, cap = self._steer_target(fhead.inst)
+                target, cap = self._steer_target(finst)
                 if len(target) < cap:
                     return None  # head would dispatch
-        if not self._fetch_quiescent(cycle, cand):
-            return None
         return self._finish_hint(cand, rates)
 
     def _learn(self, inst) -> None:

@@ -350,8 +350,12 @@ class OutOfOrderCore(CoreModel):
     # -- event-driven fast forward --------------------------------------------
 
     def _next_event_cycle(self, cycle: int):
-        rates = {}
         cand = []
+        # Fetch first: it is the usual reason a stepped cycle is busy (every
+        # check is read-only, so the order is free).
+        if not self._fetch_quiescent(cycle, cand):
+            return None
+        rates = {}
         cfg = self.cfg
         if self.sq and self.sq[0].committed:
             head = self.sq[0]
@@ -382,11 +386,10 @@ class OutOfOrderCore(CoreModel):
                 rates["storeset_blocks"] = blocks
         queue = self.fetch.queue
         if queue:
-            fhead = queue[0]
-            if fhead.ready_at > cycle:
-                cand.append(fhead.ready_at)
+            ready_at, inst = queue[0]
+            if ready_at > cycle:
+                cand.append(ready_at)
             else:
-                inst = fhead.inst
                 if (len(self.rob) >= cfg.rob_size
                         or len(self.iq) >= cfg.iq_size):
                     rates["dispatch_stall_window"] = 1
@@ -399,6 +402,4 @@ class OutOfOrderCore(CoreModel):
                     rates["dispatch_stall_prf"] = 1
                 else:
                     return None  # head would dispatch
-        if not self._fetch_quiescent(cycle, cand):
-            return None
         return self._finish_hint(cand, rates)

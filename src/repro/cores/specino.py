@@ -209,8 +209,12 @@ class SpecInOCore(CoreModel):
     # -- event-driven fast forward --------------------------------------------
 
     def _next_event_cycle(self, cycle: int):
-        rates = {}
         cand = []
+        # Fetch first: it is the usual reason a stepped cycle is busy (every
+        # check is read-only, so the order is free).
+        if not self._fetch_quiescent(cycle, cand):
+            return None
+        rates = {}
         cfg = self.cfg
         if self.sb:
             head = self.sb[0]
@@ -256,7 +260,5 @@ class SpecInOCore(CoreModel):
                 # window position is a stable (skippable) state
         if not self._dispatch_quiescent(cycle, cand,
                                         cfg.iq_size - len(self.iq)):
-            return None
-        if not self._fetch_quiescent(cycle, cand):
             return None
         return self._finish_hint(cand, rates)

@@ -168,8 +168,6 @@ class CoreModel:
         self.tracer = None         # repro.obs.events.Tracer
         self.sampler = None        # repro.obs.metrics.MetricsSampler
         self.accounting = None     # repro.obs.accounting.CycleAccounting
-        #: Tier that executed the most recent :meth:`run` ("vector"/"pure").
-        self.engine_tier_used = "pure"
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -208,9 +206,13 @@ class CoreModel:
             record_schedule: bool = False, sanitize=None, faults=None,
             deadlock_cycles: Optional[int] = None, tracer=None,
             sampler=None, profiler=None, accounting=None,
-            fast_forward=None, engine_tier: Optional[str] = None) -> Stats:
+            fast_forward=None) -> Stats:
         """Simulate the whole trace; returns the statistics bag.
 
+        Every core runs this one loop: each simulated cycle that is not
+        fast-forwarded calls ``self._step(cycle)`` exactly once, between
+        the wakeup-calendar delivery and ``fetch.tick``, whatever
+        observers are attached.
         ``warmup`` discards the counters accumulated while committing the
         first N instructions (caches, predictors and DRAM state stay warm),
         mirroring the paper's warm-up-then-measure methodology.
@@ -245,14 +247,6 @@ class CoreModel:
         the ``REPRO_NO_SKIP`` environment variable; skipping is disabled
         automatically when faults, the sanitizer or a metrics sampler
         (which must see every cycle) are attached.
-        ``engine_tier`` selects the execution tier: ``None`` (default)
-        auto-selects the kernelized vector tier when this core type has a
-        registered kernel, no attached observer forces the fallback and
-        ``REPRO_PURE_PY=1`` is not set; ``"pure"`` forces the interpreted
-        loop; ``"vector"`` demands the kernel and raises when it cannot
-        run (see :mod:`repro.engine.vectortier`).  Both tiers are
-        bit-identical; ``self.engine_tier_used`` records the tier that
-        actually executed.
         """
         from repro.engine.sanitizer import resolve_sanitizer
         self.sanitizer = resolve_sanitizer(sanitize)
@@ -263,24 +257,6 @@ class CoreModel:
         watchdog = (deadlock_cycles if deadlock_cycles is not None
                     else self.cfg.deadlock_cycles)
         self.schedule = [] if record_schedule else None
-        # Vector tier: a kernelized twin of the loop below, selected only
-        # when it is provably equivalent (exact core type, no observers).
-        # The kernel consumes the trace's SoA columns; object records back
-        # the entries for observers and post-mortem inspection.
-        from repro.engine.soatrace import TraceArrays
-        from repro.engine.vectortier import arrays_for, select_kernel
-        observers_attached = (faults is not None or self.sanitizer is not None
-                              or sampler is not None or tracer is not None
-                              or accounting is not None
-                              or profiler is not None)
-        kernel = select_kernel(self, engine_tier, observers_attached)
-        self.engine_tier_used = "vector" if kernel is not None else "pure"
-        arrays = None
-        if isinstance(trace, TraceArrays):
-            arrays = trace
-            trace = arrays.materialize()
-        elif kernel is not None:
-            arrays = arrays_for(trace)
         self.reset(trace)
         if profiler is not None:
             profiler.attach(self)
@@ -299,18 +275,17 @@ class CoreModel:
         skip_ok = (_resolve_fast_forward(fast_forward)
                    and faults is None and self.sanitizer is None
                    and sampler is None)
-        if kernel is not None:
-            cycle, warm_snapshot, warm_cycle = kernel(
-                self, arrays, max_cycles, watchdog, warmup, skip_ok)
-            self.stats.add("cycles", cycle)
-            if warm_snapshot is not None:
-                for key, value in warm_snapshot.items():
-                    self.stats.counters[key] -= value
-                self.stats.counters["cycles"] = cycle - warm_cycle
-            return self.stats
         counters = self.stats.counters
         fu = self.fu
         fetch_tick = self.fetch.tick
+        # ``fetch.drained`` unrolled: the queue and the stream cursor are
+        # mutated in place, never rebound, during a run.
+        fetch_queue = self.fetch.queue
+        stream = self.stream
+        n_trace = len(stream.trace)
+        pipeline_empty = self.pipeline_empty
+        step = self._step
+        warm_pending = bool(warmup)
         acct = self.accounting
         slow_observers = (self.faults is not None or acct is not None
                           or self.sanitizer is not None
@@ -319,7 +294,8 @@ class CoreModel:
         fire_wakeups = self._fire_wakeups
         next_event_cycle = self._next_event_cycle
         try:
-            while not (self.fetch.drained and self.pipeline_empty()):
+            while (fetch_queue or stream.cursor < n_trace
+                   or not pipeline_empty()):
                 if skip_ok:
                     hint = next_event_cycle(cycle)
                     if hint is not None:
@@ -363,7 +339,7 @@ class CoreModel:
                     if bucket is not None:
                         fire_wakeups(bucket, cycle, wakeup_cal)
                 fu.reset()
-                self._step(cycle)
+                step(cycle)
                 if slow_observers:
                     if self.faults is not None:
                         self.faults.on_cycle(self, cycle)
@@ -375,8 +351,8 @@ class CoreModel:
                         self.sampler.on_cycle(self, cycle)
                 fetch_tick(cycle)
                 cycle += 1
-                if (warmup and warm_snapshot is None
-                        and self._committed >= warmup):
+                if warm_pending and self._committed >= warmup:
+                    warm_pending = False
                     warm_snapshot = dict(counters)
                     warm_cycle = cycle
                     if acct is not None:
@@ -510,8 +486,9 @@ class CoreModel:
         if fetch.stalled_until > cycle:
             cand.append(fetch.stalled_until)
             return True
-        if fetch.stream.peek() is None:
-            return True
+        stream = fetch.stream
+        if stream.cursor >= len(stream.trace):
+            return True  # trace exhausted
         return len(fetch.queue) >= fetch.capacity
 
     def _dispatch_quiescent(self, cycle: int, cand: List[int],
@@ -522,7 +499,7 @@ class CoreModel:
         queue = self.fetch.queue
         if not queue:
             return True
-        ready_at = queue[0].ready_at
+        ready_at = queue[0][0]
         if ready_at > cycle:
             cand.append(ready_at)
             return True
@@ -577,39 +554,37 @@ class CoreModel:
         of a fast-forward jump), keeping the all-keys-in-the-future
         invariant that lets ``min(calendar)`` bound the next event."""
         cal = self._wakeup_cal
-        while True:
-            due = [key for key in cal if key <= stop]
-            if not due:
+        while cal:
+            first = min(cal)
+            if first > stop:
                 return
-            for key in due:
-                self._fire_wakeups(cal.pop(key), key, cal)
+            self._fire_wakeups(cal.pop(first), first, cal)
 
     # -- shared helpers ---------------------------------------------------------
 
     def make_entry(self, inst: DynInst) -> InflightInst:
         """Wrap a dispatched instruction, wiring true register dependences
         from the program-order last-writer map."""
-        producers = []
-        for src in inst.srcs:
-            writer = self.last_writer.get(src)
-            if writer is not None:
-                producers.append(writer)
-        entry = InflightInst(inst, producers)
-        entry.dispatch_at = self.cycle
+        entry = InflightInst(inst, ())
+        cycle = self.cycle
+        entry.dispatch_at = cycle
+        last_writer = self.last_writer
+        producers = entry.producers
         # Exact pending count + wakeup registration: producers already
         # complete by now never gate this entry; the rest decrement
         # n_pending when their calendar bucket fires.
-        if producers:
-            cycle = self.cycle
-            pending = 0
-            for producer in producers:
-                done_at = producer.done_at
+        pending = 0
+        for src in inst.srcs:
+            writer = last_writer.get(src)
+            if writer is not None:
+                producers.append(writer)
+                done_at = writer.done_at
                 if done_at is None or done_at > cycle:
-                    producer.waiters.append(entry)
+                    writer.waiters.append(entry)
                     pending += 1
-            entry.n_pending = pending
+        entry.n_pending = pending
         if inst.dst is not None:
-            self.last_writer[inst.dst] = entry
+            last_writer[inst.dst] = entry
         if self.faults is not None:
             self.faults.on_entry(entry)
         if self.tracer is not None:

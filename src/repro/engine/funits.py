@@ -17,8 +17,8 @@ class FuPool:
         self.capacity = [cfg.n_alu, cfg.n_fpu, cfg.n_agu]
         self.free = list(self.capacity)
         self.store_port_free = True  # one L1D write port for retiring stores
-        # Units claimed since the last reset (issue ports + store port),
-        # so all_free() is one int compare in the run loop's pre-gate.
+        # Units claimed since the last reset (issue ports + store port), so
+        # an issue-free cycle's reset is one int compare.
         self._taken = 0
 
     def reset(self) -> None:
@@ -34,15 +34,6 @@ class FuPool:
     def available(self, op: OpClass) -> bool:
         """Is a unit of the right type free this cycle?"""
         return self.free[FU_FOR_OP[op]] > 0
-
-    def all_free(self) -> bool:
-        """Was the previous cycle issue-free (pool still fully stocked)?
-
-        Cheap pre-gate for the fast-forward evaluators: a cycle that
-        consumed any issue port or the store port had activity, so the
-        next cycle starts from a state the evaluator need not analyse.
-        """
-        return self._taken == 0
 
     def zero_capacity(self, op: OpClass) -> bool:
         """True when ``op`` can *never* issue (no unit of its type exists).

@@ -1,6 +1,6 @@
 """Structure-of-arrays trace representation and binary codec.
 
-The interpreted engine consumes traces as lists of
+The engine consumes traces as lists of
 :class:`~repro.isa.instruction.DynInst` objects.  That shape is friendly to
 the timing models but expensive to ship: pickling object graphs costs both
 time and space, and every pool worker / cluster node pays the object churn
@@ -54,17 +54,7 @@ from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.instruction import DynInst
-from repro.isa.opcodes import LATENCY, OpClass
-
-#: Derived per-op classification used by the vector-tier kernels:
-#: 0 = non-memory non-branch, 1 = load, 2 = store, 3 = branch/jump.
-KIND_OTHER, KIND_LOAD, KIND_STORE, KIND_BRANCH = 0, 1, 2, 3
-KIND_OF = tuple(
-    KIND_LOAD if OpClass(v).is_load else
-    KIND_STORE if OpClass(v).is_store else
-    KIND_BRANCH if OpClass(v).is_branch else KIND_OTHER
-    for v in range(len(OpClass)))
-LAT_OF = tuple(LATENCY[OpClass(v)] for v in range(len(OpClass)))
+from repro.isa.opcodes import OpClass
 
 #: Container magic + format version.  Bump the version whenever the column
 #: set or header schema changes; ``decode`` rejects unknown versions.
@@ -96,7 +86,7 @@ class TraceArrays:
     """One dynamic trace as parallel typed columns."""
 
     __slots__ = tuple(name for name, _ in _COLUMNS) + (
-        "extra_srcs", "_materialized", "_derived")
+        "extra_srcs", "_materialized")
 
     def __init__(self) -> None:
         for name, typecode in _COLUMNS:
@@ -104,7 +94,6 @@ class TraceArrays:
         # Ragged overflow for instructions with >2 sources: index -> tuple.
         self.extra_srcs: Dict[int, Tuple[int, ...]] = {}
         self._materialized: Optional[List[DynInst]] = None
-        self._derived = None
 
     def __len__(self) -> int:
         return len(self.pc)
@@ -142,22 +131,6 @@ class TraceArrays:
             taken.append(1 if inst.taken else 0)
             target.append(_NONE if inst.target is None else inst.target)
         return self
-
-    def hot_columns(self) -> Tuple[array, array, array]:
-        """Derived ``(kind, latency, line)`` columns for the kernel tier.
-
-        Computed once per trace and never serialised — they are pure
-        functions of the ``op`` and ``pc`` columns.
-        """
-        derived = self._derived
-        if derived is None:
-            kind_of = KIND_OF
-            lat_of = LAT_OF
-            derived = (array("B", bytes(kind_of[v] for v in self.op)),
-                       array("B", bytes(lat_of[v] for v in self.op)),
-                       array("q", [pc >> 6 for pc in self.pc]))
-            self._derived = derived
-        return derived
 
     # -- materialisation ----------------------------------------------------
 

@@ -2,6 +2,6 @@
 
 from repro.frontend.btb import Btb
 from repro.frontend.tage import Tage
-from repro.frontend.fetch import FetchUnit, FetchedInst
+from repro.frontend.fetch import FetchUnit
 
-__all__ = ["Btb", "Tage", "FetchUnit", "FetchedInst"]
+__all__ = ["Btb", "Tage", "FetchUnit"]

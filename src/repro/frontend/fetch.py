@@ -11,7 +11,7 @@ unaffected).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Tuple
 
 from repro.common.params import BranchPredictorConfig, CoreConfig
 from repro.common.stats import Stats
@@ -20,16 +20,6 @@ from repro.frontend.btb import Btb
 from repro.frontend.tage import Tage
 from repro.isa.instruction import DynInst
 from repro.isa.opcodes import OpClass
-
-
-class FetchedInst:
-    """A fetched instruction waiting in the decode pipe."""
-
-    __slots__ = ("inst", "ready_at")
-
-    def __init__(self, inst: DynInst, ready_at: int) -> None:
-        self.inst = inst
-        self.ready_at = ready_at
 
 
 class FetchUnit:
@@ -45,7 +35,9 @@ class FetchUnit:
         bp_cfg = bp_cfg if bp_cfg is not None else BranchPredictorConfig()
         self.tage = Tage(bp_cfg, self.stats)
         self.btb = Btb(bp_cfg.btb_sets, bp_cfg.btb_ways, self.stats)
-        self.queue: Deque[FetchedInst] = deque()
+        #: The decode pipe: ``(ready_at, inst)`` pairs in program order,
+        #: ``ready_at`` being the cycle the instruction may dispatch.
+        self.queue: Deque[Tuple[int, DynInst]] = deque()
         self.capacity = max(2, cfg.frontend_latency) * cfg.width * 2
         self.stalled_until = 0
         self.blocked_seq: Optional[int] = None  # unresolved mispredicted branch
@@ -58,39 +50,42 @@ class FetchUnit:
         if self.blocked_seq is not None or cycle < self.stalled_until:
             return
         queue = self.queue
-        if len(queue) >= self.capacity:
+        room = self.capacity - len(queue)
+        if room <= 0:
             return  # decode pipe backed up: nothing can be fetched
-        fetched = 0
-        width = self.cfg.width
-        frontend_latency = self.cfg.frontend_latency
+        # The stream's cursor is advanced locally and written back once.
         stream = self.stream
-        counters = self.stats.counters
-        while fetched < width and len(queue) < self.capacity:
-            inst = stream.peek()
-            if inst is None:
-                return
-            extra = self._icache(inst, cycle)
-            if extra > 0:
-                # I-cache miss: this instruction (and everything behind it)
-                # arrives after the fill.
-                self.stalled_until = cycle + extra
-                return
-            stream.fetch()
-            queue.append(FetchedInst(inst, cycle + frontend_latency))
-            fetched += 1
-            counters["fetched"] += 1.0
-            if inst.is_branch and self._predict(inst):
-                return  # mispredicted: gate fetch until resolution
-            if inst.is_branch and inst.taken:
-                return  # correctly-predicted taken branch ends the group
+        trace = stream.trace
+        cursor = stream.cursor
+        width = self.cfg.width
+        end = cursor + (room if room < width else width)
+        if end > len(trace):
+            end = len(trace)
+        ready_at = cycle + self.cfg.frontend_latency
+        start = cursor
+        while cursor < end:
+            inst = trace[cursor]
+            if inst.line != self._line:
+                extra = self._icache(inst, cycle)
+                if extra > 0:
+                    # I-cache miss: this instruction (and everything
+                    # behind it) arrives after the fill.
+                    self.stalled_until = cycle + extra
+                    break
+            cursor += 1
+            queue.append((ready_at, inst))
+            # A mispredicted branch gates fetch until resolution; a
+            # correctly-predicted taken branch ends the group.
+            if inst.is_branch and (self._predict(inst) or inst.taken):
+                break
+        if cursor != start:
+            stream.cursor = cursor
+            self.stats.counters["fetched"] += float(cursor - start)
 
     def _icache(self, inst: DynInst, cycle: int) -> int:
-        """Access the L1I when crossing into a new line; returns extra stall
-        cycles beyond the pipelined hit latency."""
-        line = inst.line
-        if line == self._line:
-            return 0
-        self._line = line
+        """Access the L1I for the new line ``inst`` crosses into; returns
+        extra stall cycles beyond the pipelined hit latency."""
+        self._line = inst.line
         latency = self.hierarchy.ifetch(inst.pc, cycle)
         hit = self.hierarchy.l1i.cfg.latency
         return max(0, latency - hit)
@@ -116,14 +111,15 @@ class FetchUnit:
     def pop_ready(self, cycle: int, max_count: int) -> List[DynInst]:
         """Instructions whose decode pipe delay has elapsed, in order."""
         out: List[DynInst] = []
-        while (self.queue and len(out) < max_count
-               and self.queue[0].ready_at <= cycle):
-            out.append(self.queue.popleft().inst)
+        queue = self.queue
+        while queue and queue[0][0] <= cycle and max_count > 0:
+            out.append(queue.popleft()[1])
+            max_count -= 1
         return out
 
     def peek_ready(self, cycle: int) -> Optional[DynInst]:
-        if self.queue and self.queue[0].ready_at <= cycle:
-            return self.queue[0].inst
+        if self.queue and self.queue[0][0] <= cycle:
+            return self.queue[0][1]
         return None
 
     # -- control ----------------------------------------------------------------
@@ -140,7 +136,7 @@ class FetchUnit:
     def squash(self, from_seq: int, resume_cycle: int) -> None:
         """Memory-order-violation squash: drop everything at/after
         ``from_seq`` and re-fetch it starting at ``resume_cycle``."""
-        while self.queue and self.queue[-1].inst.seq >= from_seq:
+        while self.queue and self.queue[-1][1].seq >= from_seq:
             self.queue.pop()
         self.stream.rewind(from_seq)
         if self.blocked_seq is not None and self.blocked_seq >= from_seq:

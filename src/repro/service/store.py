@@ -24,7 +24,6 @@ import base64
 import hashlib
 import json
 import os
-import pickle
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
@@ -44,11 +43,6 @@ from repro.obs.provenance import (
 #: Version of the on-disk record envelope.  A reader finding any other
 #: value treats the entry as a miss (never served across schema changes).
 STORE_SCHEMA = 1
-
-#: Version of the *legacy* pickled-trace envelope.  New trace entries are
-#: written as binary ``.rtr`` containers (see :class:`TraceStore`); this
-#: schema is still validated on read so existing caches keep working.
-TRACE_SCHEMA = 1
 
 #: ``format`` tag of a codec-encoded trace wire record (see
 #: :func:`trace_wire_record`).
@@ -212,7 +206,7 @@ class ResultStore:
 
     def _entries(self) -> Iterator[Path]:
         for shard in self.root.iterdir():
-            # "traces" is the sibling TraceStore (pickled traces, not
+            # "traces" is the sibling TraceStore (binary traces, not
             # result records) when the pool shares traces under this root.
             if shard.name in ("quarantine", "traces") or not shard.is_dir():
                 continue
@@ -351,12 +345,11 @@ class TraceStore:
     Entries are binary ``.rtr`` containers (the
     :mod:`~repro.engine.soatrace` codec: versioned header + typed columns
     + embedded sha256) — arrays on the wire and on disk, not object
-    pickles.  Legacy pickled ``.pkl`` envelopes remain readable.  The
-    write idiom matches :class:`ResultStore` — unique temp file +
-    ``os.replace`` — so concurrent writers of one key are idempotent and
-    readers never see a torn entry.  A corrupt binary entry is moved to
-    ``quarantine/`` (evidence, like result records); a corrupt legacy
-    pickle is deleted as before — both count as ``corrupt`` misses.
+    pickles, so reading an entry never unpickles a file.  The write idiom
+    matches :class:`ResultStore` — unique temp file + ``os.replace`` — so
+    concurrent writers of one key are idempotent and readers never see a
+    torn entry.  A corrupt entry is moved to ``quarantine/`` (evidence,
+    like result records) and counts as a ``corrupt`` miss.
 
     ``fetch`` (optional) turns the store into a pull-through replica of
     a coordinator, mirroring :class:`~repro.service.cluster.replica.\
@@ -380,9 +373,6 @@ ReplicaStore`: on a local miss it is called with the trace key and must
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.rtr"
-
-    def _legacy_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt binary entry aside (never delete evidence)."""
@@ -415,28 +405,6 @@ ReplicaStore`: on a local miss it is called with the trace key and must
             return None
         return arrays.materialize()
 
-    def _read_legacy(self, key: str) -> Optional[List]:
-        path = self._legacy_path(key)
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return None
-        try:
-            envelope = pickle.loads(raw)
-        except Exception:
-            envelope = None
-        if (not isinstance(envelope, dict)
-                or envelope.get("schema") != TRACE_SCHEMA
-                or envelope.get("key") != key
-                or not isinstance(envelope.get("trace"), list)):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            self.stats["corrupt"] += 1
-            return None
-        return envelope["trace"]
-
     def _fetch_raw(self, key: str) -> Optional[bytes]:
         """Fetch, verify and locally cache one entry's container bytes."""
         envelope = self._fetch(key)
@@ -463,14 +431,12 @@ ReplicaStore`: on a local miss it is called with the trace key and must
     def get(self, profile, n_instrs: int) -> Optional[List]:
         """The cached trace for (profile, n_instrs), or None on a miss.
 
-        Read order: binary entry, legacy pickle, then the ``fetch`` hook
-        (when configured).  Corrupt entries never propagate — they are
-        quarantined/deleted and treated as misses.
+        Read order: local entry, then the ``fetch`` hook (when
+        configured).  Corrupt entries never propagate — they are
+        quarantined and treated as misses.
         """
         key = trace_key(profile, n_instrs)
         trace = self._read_binary(key)
-        if trace is None:
-            trace = self._read_legacy(key)
         if trace is None and self._fetch is not None:
             trace = self._fetch_remote(key)
         if trace is None:
@@ -489,7 +455,7 @@ ReplicaStore`: on a local miss it is called with the trace key and must
         False just means the first worker generates locally as usual.
         """
         key = trace_key(profile, n_instrs)
-        if self._path(key).exists() or self._legacy_path(key).exists():
+        if self._path(key).exists():
             return True
         if self._fetch is None:
             return False
@@ -525,25 +491,13 @@ ReplicaStore`: on a local miss it is called with the trace key and must
 
     # -- maintenance -----------------------------------------------------------
 
-    def _validate_legacy(self, path: Path) -> bool:
-        key = path.stem
-        try:
-            envelope = pickle.loads(path.read_bytes())
-        except Exception:
-            return False
-        return (isinstance(envelope, dict)
-                and envelope.get("schema") == TRACE_SCHEMA
-                and envelope.get("key") == key
-                and isinstance(envelope.get("trace"), list))
-
     def scrub(self) -> dict:
         """Integrity walk: validate every trace entry.
 
-        Binary containers are re-verified through the codec and
-        quarantined on mismatch; legacy pickles are validated as before
-        and deleted when corrupt (bulk regenerable data).
+        Every container is re-verified through the codec and quarantined
+        on mismatch.
         """
-        report = {"checked": 0, "ok": 0, "deleted": 0, "quarantined": 0}
+        report = {"checked": 0, "ok": 0, "quarantined": 0}
         for shard in self.root.iterdir():
             if shard.name == "quarantine" or not shard.is_dir():
                 continue
@@ -558,17 +512,6 @@ ReplicaStore`: on a local miss it is called with the trace key and must
                     continue  # raced with eviction: nothing to verify
                 else:
                     report["ok"] += 1
-            for path in list(shard.glob("*.pkl")):
-                report["checked"] += 1
-                if self._validate_legacy(path):
-                    report["ok"] += 1
-                    continue
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-                self.stats["corrupt"] += 1
-                report["deleted"] += 1
         return report
 
     def stats_snapshot(self) -> dict:

@@ -160,7 +160,7 @@ class TestFetchUnit:
         fetch.tick(1)
         fetch.squash(1, resume_cycle=20)
         assert stream.cursor == 1
-        assert all(f.inst.seq < 1 for f in fetch.queue)
+        assert all(inst.seq < 1 for _, inst in fetch.queue)
 
     def test_drained(self):
         insts = [DynInst(pc=0x1000, op=OpClass.INT_ALU)]

@@ -469,12 +469,12 @@ class TestTraceReplication:
         finally:
             node.close()
 
-    def test_wrong_key_payload_rejected_legacy_pickle_served(
+    def test_wrong_key_payload_rejected_pickle_is_a_miss(
             self, tmp_path):
         import json
         import pickle
-        from repro.service.store import (TRACE_SCHEMA, TraceStore,
-                                         trace_key, trace_wire_record)
+        from repro.service.store import (TraceStore, trace_key,
+                                         trace_wire_record)
         profile = SUITE["mcf"]
         trace = self._trace("mcf", 700)
         key = trace_key(profile, 700)
@@ -486,11 +486,9 @@ class TestTraceReplication:
         assert store.get(profile, 700) is None
         assert not store._path(key).exists()
         assert store.stats["fetched"] == 0
-        # Legacy pickled envelopes written by older workers still serve.
-        legacy = store._legacy_path(key)
+        # A pickled ``.pkl`` entry under the key is never read.
+        legacy = store._path(key).with_suffix(".pkl")
         legacy.parent.mkdir(parents=True, exist_ok=True)
         legacy.write_bytes(pickle.dumps(
-            {"schema": TRACE_SCHEMA, "key": key, "trace": trace}))
-        served = store.get(profile, 700)
-        assert served is not None and len(served) == len(trace)
-        assert store.stats["hits"] == 1
+            {"schema": 1, "key": key, "trace": trace}))
+        assert TraceStore(tmp_path / "traces").get(profile, 700) is None

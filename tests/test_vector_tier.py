@@ -1,12 +1,9 @@
-"""The vectorized engine tier against the interpreted reference.
+"""The structure-of-arrays trace container and the hot record classes.
 
-The tier's whole contract is *bit-identity*: same cycle counts, same
-counter values and key sets, same schedules, same post-run structure
-state — the kernel is purely a host-performance artifact.  This module
-pins that contract across the kernelized cores, the auto-fallback
-cores, the observer matrix, the ``REPRO_PURE_PY`` escape hatch, the
-binary trace codec, and the ``__slots__`` layout of the hot
-per-instruction classes.
+Pins the binary trace codec that ``TraceStore`` ships traces in (exact
+round trips, rejection of malformed containers, quarantine of corrupt
+store entries) and the ``__slots__`` layout of the hot per-instruction
+classes.
 """
 
 import dataclasses
@@ -14,31 +11,11 @@ import pickle
 
 import pytest
 
-from repro.common.params import (
-    DISAMBIG_AGI_ORDERING,
-    DISAMBIG_FULLY_OOO,
-    DISAMBIG_NOLQ,
-    make_casino_config,
-    make_freeway_config,
-    make_ino_config,
-    make_lsc_config,
-    make_ooo_config,
-    make_specino_config,
-)
-from repro.cores import build_core
-from repro.engine.core_base import SimulationError
-from repro.engine.soatrace import (
-    TraceArrays,
-    TraceCodecError,
-    decode_trace,
-    encode_trace,
-)
-from repro.obs.provenance import counter_digest
+from repro.engine.soatrace import TraceCodecError, decode_trace, encode_trace
 from repro.workloads.generator import SyntheticWorkload
-from repro.workloads.kernels import daxpy_program, pointer_chase_program
 from repro.workloads.suite import SUITE
 
-N, WARMUP = 5_000, 800
+N = 5_000
 
 _TRACES = {}
 
@@ -51,128 +28,6 @@ def _trace(app, n=N, seed=None):
             profile = dataclasses.replace(profile, seed=seed)
         _TRACES[key] = SyntheticWorkload(profile).generate(n)
     return _TRACES[key]
-
-
-def _run(cfg, trace, tier, ff, **kw):
-    core = build_core(cfg)
-    stats = core.run(trace, warmup=WARMUP, engine_tier=tier,
-                     fast_forward=ff, record_schedule=True, **kw)
-    return core, stats
-
-
-def _assert_identical(cfg, trace, ff, expect_vector=True):
-    """Pure vs vector run: every observable must match.
-
-    Kernelized cores force ``engine_tier="vector"`` (which overrides
-    ``REPRO_PURE_PY``, so the identity matrix still bites on the
-    pure-py CI leg); fallback cores auto-select and must land pure.
-    """
-    pure_core, pure_stats = _run(cfg, trace, "pure", ff)
-    auto_core, auto_stats = _run(cfg, trace,
-                                 "vector" if expect_vector else None, ff)
-    assert auto_core.engine_tier_used == (
-        "vector" if expect_vector else "pure")
-    pure_dict, auto_dict = pure_stats.as_dict(), auto_stats.as_dict()
-    assert pure_dict == auto_dict, {
-        k: (pure_dict.get(k), auto_dict.get(k))
-        for k in set(pure_dict) | set(auto_dict)
-        if pure_dict.get(k) != auto_dict.get(k)}
-    assert counter_digest(pure_stats) == counter_digest(auto_stats)
-    assert (pure_core.cycle, pure_core._committed, pure_core.ff_spans,
-            pure_core.ff_skipped_cycles) == \
-           (auto_core.cycle, auto_core._committed, auto_core.ff_spans,
-            auto_core.ff_skipped_cycles)
-    # Schedules: identical up to the DynInst column (shared objects).
-    assert [(r[0],) + tuple(r[2:]) for r in pure_core.schedule] == \
-           [(r[0],) + tuple(r[2:]) for r in auto_core.schedule]
-    assert pure_core.stream.cursor == auto_core.stream.cursor
-    assert pure_core.fetch.stalled_until == auto_core.fetch.stalled_until
-    assert len(pure_core.fetch.queue) == len(auto_core.fetch.queue)
-
-
-KERNEL_CORES = {"ino": make_ino_config, "casino": make_casino_config}
-FALLBACK_CORES = {"ooo": make_ooo_config, "lsc": make_lsc_config,
-                  "freeway": make_freeway_config,
-                  "specino": make_specino_config}
-
-
-class TestKernelBitIdentity:
-    @pytest.mark.parametrize("ff", [True, False],
-                             ids=["skip", "noskip"])
-    @pytest.mark.parametrize("app", ["mcf", "hmmer", "libquantum",
-                                     "omnetpp"])
-    @pytest.mark.parametrize("core", sorted(KERNEL_CORES))
-    def test_suite_apps(self, core, app, ff):
-        _assert_identical(KERNEL_CORES[core](), _trace(app), ff)
-
-    @pytest.mark.parametrize("mode", [DISAMBIG_NOLQ, DISAMBIG_FULLY_OOO,
-                                      DISAMBIG_AGI_ORDERING])
-    def test_casino_disambiguation_modes(self, mode):
-        cfg = dataclasses.replace(make_casino_config(),
-                                  name=f"casino-{mode}",
-                                  disambiguation=mode)
-        _assert_identical(cfg, _trace("mcf"), True)
-
-    @pytest.mark.parametrize("maker", [pointer_chase_program,
-                                       daxpy_program])
-    def test_emulated_kernel_traces(self, maker):
-        """Hand-written assembly kernels through the functional
-        emulator drive both tiers identically (dependency-dense traces
-        with shapes the synthetic generator never emits)."""
-        from repro.isa.emulator import trace_program
-        program, init = maker()
-        trace = trace_program(program, init)
-        for cfg in (make_ino_config(), make_casino_config()):
-            _assert_identical(cfg, trace, True)
-
-    def test_trace_arrays_input_accepted(self):
-        """run() accepts the SoA twin directly in place of a list."""
-        trace = _trace("hmmer")
-        arrays = TraceArrays.from_instructions(trace)
-        cfg = make_casino_config()
-        base = build_core(cfg).run(trace, warmup=WARMUP)
-        via_arrays = build_core(cfg).run(arrays, warmup=WARMUP)
-        assert counter_digest(base) == counter_digest(via_arrays)
-
-
-class TestTierSelection:
-    def test_fallback_cores_stay_pure_and_identical(self):
-        trace = _trace("mcf", n=3_000)
-        for name, factory in FALLBACK_CORES.items():
-            _assert_identical(factory(), trace, True,
-                              expect_vector=False)
-
-    def test_forcing_vector_without_kernel_raises(self):
-        with pytest.raises(SimulationError, match="engine_tier"):
-            build_core(make_ooo_config()).run(
-                _trace("mcf", n=3_000), warmup=WARMUP,
-                engine_tier="vector")
-
-    def test_observer_forces_clean_fallback(self):
-        core = build_core(make_casino_config())
-        core.run(_trace("hmmer"), warmup=WARMUP, sanitize=True)
-        assert core.engine_tier_used == "pure"
-
-    def test_forcing_vector_with_observer_raises(self):
-        with pytest.raises(SimulationError, match="engine_tier"):
-            build_core(make_casino_config()).run(
-                _trace("hmmer"), warmup=WARMUP, sanitize=True,
-                engine_tier="vector")
-
-    def test_pure_py_env_disables_auto_but_not_forced(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PURE_PY", "1")
-        trace = _trace("hmmer")
-        core = build_core(make_casino_config())
-        core.run(trace, warmup=WARMUP)
-        assert core.engine_tier_used == "pure"
-        forced = build_core(make_casino_config())
-        forced.run(trace, warmup=WARMUP, engine_tier="vector")
-        assert forced.engine_tier_used == "vector"
-
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(ValueError, match="engine_tier"):
-            build_core(make_ino_config()).run(
-                _trace("hmmer"), warmup=WARMUP, engine_tier="jit")
 
 
 class TestTraceCodec:
@@ -235,9 +90,9 @@ class TestTraceCodec:
 
 
 class TestSlotsPins:
-    """The hot per-instruction classes must stay ``__dict__``-free (the
-    vector tier's memory story) while remaining picklable (the pool
-    protocol) and codec-round-trippable (the TraceStore wire)."""
+    """The hot per-instruction classes must stay ``__dict__``-free (one
+    record per dynamic instruction adds up) while remaining picklable
+    (the pool protocol) and codec-round-trippable (the TraceStore wire)."""
 
     def test_hot_classes_have_no_dict(self):
         from repro.engine.core_base import InflightInst
